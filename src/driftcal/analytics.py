@@ -1,13 +1,13 @@
 """Closed-form predictions and trajectory statistics.
 
-These are the independent references the Monte Carlo engines are checked
-against: mean/variance dynamics of the single-parameter feedback loop under
-the linearized outcome model, its stationary values, the optimal gain under
-random-walk drift, and the exact gain schedule that maximizes the variance
-contraction rate.
+These are the independent references Monte Carlo runs of the feedback loop
+are checked against: mean/variance dynamics of the single-parameter loop
+under the linearized outcome model, its stationary values, the optimal gain
+under random-walk drift, and the exact gain schedule that maximizes the
+variance contraction rate.
 
-Summary helpers reduce ensembles of trajectories to the tables the CLI
-emits (per-shot mean/sd, per-trajectory experiment means, medians, IQRs).
+Summary helpers reduce ensembles of trajectories to tables (per-shot
+mean/sd, per-trajectory experiment means, medians, IQRs).
 """
 from __future__ import annotations
 
@@ -59,17 +59,6 @@ def predict_variance(sigma0_sq: float, mu0: float, gain: float, s: float,
     decay = (1.0 - 4.0 * gain) ** t
     mean_term = mu0**2 * ((1.0 - 2.0 * gain) ** (2 * t) - decay)
     return (sigma0_sq - sinf) * decay + sinf - mean_term
-
-
-def variance_recursion(sigma0_sq: float, mu0: float, gain: float, s: float,
-                       step: float, t: int) -> float:
-    """Iterate the one-step difference equations; oracle for predict_variance."""
-    mu = mu0
-    var = sigma0_sq
-    for _ in range(t):
-        var = var + gain**2 / s**2 + step**2 - 4.0 * gain * var - 4.0 * gain**2 * mu**2
-        mu = (1.0 - 2.0 * gain) * mu
-    return var
 
 
 def optimal_gain(step: float, s: float) -> float:

@@ -1,4 +1,4 @@
-"""Circuit representation, noisy execution, and sensitivity/Jacobian machinery.
+"""Circuit representation, noisy execution, and the finite-difference Jacobian.
 
 A ``Circuit`` stores its gate sequence in execution order (first-applied
 first) and a whole-sequence repetition count.  Circuits start from |0...0>
@@ -18,18 +18,20 @@ gate unitaries.  Built-in families:
 - ``cz_family``: three parameters feeding the diagonal phase gate; the
   interleaved single-qubit gates and Hadamards are taken as perfect.
 
-Noisy execution applies per-gate depolarization with probability ``p`` after
-each gate by default (configurable to before), then a single depolarization
-with probability ``p_spam`` on all qubits immediately before measurement.
+Noisy execution applies depolarization with probability ``p`` after each
+gate, then a single depolarization with probability ``p_spam`` on all qubits
+immediately before measurement.
 
-Sensitivity vectors are central finite differences of the noiseless outcome
-distribution at the zero-error point, taken with respect to the control
-parameters (step 1e-5: small enough that printed 3-decimal references are
-reproduced, large enough to stay clear of roundoff).
+Each Jacobian row is the sensitivity of one (circuit, outcome) probability:
+central finite differences of the noiseless outcome distribution at the
+zero-error point, taken with respect to the control parameters (step
+``FD_STEP`` = 1e-5: small enough that printed 3-decimal references are
+reproduced, large enough to stay clear of roundoff).  The Jacobian's
+pseudoinverse is computed once, when the Jacobian is built.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator
@@ -39,7 +41,6 @@ from .gates import ControlParameterSet
 from .simcore import apply_depolarizing, apply_unitary, measure_computational, outcome_distribution, zero_state
 
 FD_STEP = 1e-5
-CONDITION_WARN = 10.0
 
 
 @dataclass(frozen=True)
@@ -70,16 +71,10 @@ class Circuit:
 class NoiseParams:
     p: float = 0.0
     p_spam: float = 0.0
-    placement: str = "after"   # depolarize before or after each gate
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.p <= 1.0 and 0.0 <= self.p_spam <= 1.0):
             raise ValueError("noise probabilities must lie in [0, 1]")
-        if self.placement not in ("before", "after"):
-            raise ValueError("placement must be 'before' or 'after'")
-
-
-NOISELESS = NoiseParams()
 
 
 class CircuitFamily:
@@ -200,38 +195,12 @@ def run_circuit(circuit: Circuit, family: CircuitFamily, params: ControlParamete
     state = zero_state(circuit.n_qubits)
     for _ in range(circuit.reps):
         for op in circuit.ops:
-            if noise.placement == "before" and noise.p > 0:
-                state = apply_depolarizing(state, noise.p, op.targets, rng)
             state = apply_unitary(state, family.gate_unitary(op, deltas), op.targets)
-            if noise.placement == "after" and noise.p > 0:
+            if noise.p > 0:
                 state = apply_depolarizing(state, noise.p, op.targets, rng)
     if noise.p_spam > 0:
         state = apply_depolarizing(state, noise.p_spam, tuple(range(circuit.n_qubits)), rng)
     return measure_computational(state, rng)
-
-
-@dataclass
-class SensitivityVector:
-    values: np.ndarray
-    circuit_label: str
-    outcome: str
-
-
-def sensitivity_vector(circuit: Circuit, family: CircuitFamily, outcome: str,
-                       step: float = FD_STEP) -> SensitivityVector:
-    """Gradient of one outcome probability w.r.t. the control parameters."""
-    idx = int(outcome, 2)
-    m = family.n_params
-    grad = np.zeros(m)
-    for j in range(m):
-        e = np.zeros(m)
-        e[j] = step
-        hi = exact_distribution(circuit, family, e)[idx]
-        lo = exact_distribution(circuit, family, -e)[idx]
-        grad[j] = (hi - lo) / (2 * step)
-    if not np.all(np.isfinite(grad)):
-        raise FloatingPointError("non-finite sensitivity")
-    return SensitivityVector(grad, circuit.label, outcome)
 
 
 @dataclass
@@ -241,21 +210,17 @@ class Jacobian:
     rank: int
     condition_number: float
     n_params: int
+    pinv: np.ndarray                         # (n_params, n_rows), pinv(matrix)
 
     @property
     def informationally_complete(self) -> bool:
         return self.rank == self.n_params
 
-    @property
-    def well_conditioned(self) -> bool:
-        return self.condition_number <= CONDITION_WARN
-
     def row(self, circuit_index: int, outcome: str) -> np.ndarray:
         return self.matrix[self.row_labels.index((circuit_index, outcome))]
 
 
-def build_jacobian(circuits: list[Circuit], family: CircuitFamily,
-                   step: float = FD_STEP) -> Jacobian:
+def build_jacobian(circuits: list[Circuit], family: CircuitFamily) -> Jacobian:
     """Stack sensitivity rows for every (circuit, outcome) pair.
 
     Rows are grouped by circuit, outcomes in increasing binary order.
@@ -271,10 +236,10 @@ def build_jacobian(circuits: list[Circuit], family: CircuitFamily,
         block = np.zeros((dim, m))
         for j in range(m):
             e = np.zeros(m)
-            e[j] = step
+            e[j] = FD_STEP
             hi = exact_distribution(circuit, family, e)
             lo = exact_distribution(circuit, family, -e)
-            block[:, j] = (hi - lo) / (2 * step)
+            block[:, j] = (hi - lo) / (2 * FD_STEP)
         for idx in range(dim):
             rows.append(block[idx])
             labels.append((ci, format(idx, f"0{circuit.n_qubits}b")))
@@ -284,7 +249,7 @@ def build_jacobian(circuits: list[Circuit], family: CircuitFamily,
     rank = int(np.sum(svals > max(tol, 1e-9)))
     smallest = svals[m - 1] if len(svals) >= m and svals[m - 1] > 0 else 0.0
     cond = float(svals[0] / smallest) if smallest > 0 else float("inf")
-    return Jacobian(matrix, labels, rank, cond, m)
+    return Jacobian(matrix, labels, rank, cond, m, np.linalg.pinv(matrix))
 
 
 def pseudoinverse_estimate(jac: Jacobian, frequencies: np.ndarray) -> np.ndarray:
@@ -294,4 +259,4 @@ def pseudoinverse_estimate(jac: Jacobian, frequencies: np.ndarray) -> np.ndarray
     freqs = np.asarray(frequencies, dtype=float)
     if len(freqs) != jac.matrix.shape[0]:
         raise ValueError("frequency vector length does not match Jacobian rows")
-    return np.linalg.pinv(jac.matrix) @ freqs
+    return jac.pinv @ freqs

@@ -1,8 +1,10 @@
 """Stochastic processes that move the hidden optimal control values between shots.
 
 The optimum stays fixed during a shot and advances once per shot.  Each
-control parameter drifts independently; ``DriftState.eta_opt`` is a vector
-over parameters and is updated in place.
+control parameter drifts independently.  ``DriftBatch`` holds the optima of
+an (n_traj, m) ensemble and advances them in lockstep, in place, drawing
+from one ensemble stream; a single trajectory is the ensemble with
+n_traj = 1.
 
 Supported processes:
 
@@ -18,9 +20,6 @@ Supported processes:
   times give an approximately 1/f spectrum.
 - ``composite``: sum of independent sub-processes.
 - ``none``: frozen optimum.
-
-Batch helpers advance a whole (n_traj, m) ensemble in lockstep; they share
-the per-parameter laws above but draw from a single ensemble stream.
 """
 from __future__ import annotations
 
@@ -62,62 +61,6 @@ def one_over_f_coefficients(n_components: int = 7) -> tuple[np.ndarray, np.ndarr
     volatility = 2.0**i * (1.0 - np.exp(-2.0 * reversion))
     return reversion, volatility
 
-
-@dataclass
-class DriftState:
-    eta_opt: np.ndarray
-    t: int = 0
-    components: np.ndarray | None = None          # (m, n_components) for one_over_f
-    sub: list["DriftState"] = field(default_factory=list)
-
-
-def drift_init(spec: DriftSpec, eta_opt0: np.ndarray | list[float] | float) -> DriftState:
-    eta0 = np.atleast_1d(np.asarray(eta_opt0, dtype=float)).copy()
-    m = len(eta0)
-    if spec.kind == "one_over_f":
-        return DriftState(eta_opt=eta0, components=np.zeros((m, spec.n_components)))
-    if spec.kind == "composite":
-        subs = [drift_init(p, np.zeros(m)) for p in spec.parts]
-        return DriftState(eta_opt=eta0, sub=subs)
-    return DriftState(eta_opt=eta0)
-
-
-def drift_step(state: DriftState, spec: DriftSpec, rng: Generator) -> DriftState:
-    """Advance the optimum by one shot; mutates and returns ``state``."""
-    m = len(state.eta_opt)
-    state.t += 1
-    if spec.kind == "none":
-        return state
-    if spec.kind == "random_walk":
-        signs = rng.integers(0, 2, size=m) * 2 - 1
-        state.eta_opt += spec.step * signs
-        return state
-    if spec.kind in ("ornstein_uhlenbeck", "jump"):
-        eps = rng.standard_normal(m)
-        state.eta_opt *= np.exp(-spec.reversion)
-        state.eta_opt += spec.volatility * eps
-        if spec.kind == "jump" and state.t == spec.jump_at:
-            state.eta_opt += spec.jump_size
-        return state
-    if spec.kind == "one_over_f":
-        rev, vol = one_over_f_coefficients(spec.n_components)
-        eps = rng.standard_normal((m, spec.n_components))
-        state.components *= np.exp(-rev)
-        state.components += vol * eps
-        state.eta_opt[:] = spec.scale * state.components.sum(axis=1)
-        return state
-    # composite
-    total = np.zeros(m)
-    for sub_state, sub_spec in zip(state.sub, spec.parts):
-        drift_step(sub_state, sub_spec, rng)
-        total += sub_state.eta_opt
-    state.eta_opt[:] = total
-    return state
-
-
-# ---------------------------------------------------------------------------
-# lockstep batch variants for vectorized ensembles
-# ---------------------------------------------------------------------------
 
 @dataclass
 class DriftBatch:

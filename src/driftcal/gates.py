@@ -13,23 +13,18 @@ Angle conventions:
   is the left tensor factor.  Note the phase errors use the same half-angle
   convention as the single-qubit gates: every gate here is
   exp(i/2 (ideal + error) * generator).
-- ``idle_noise(deltas)`` implements exp(-i sum_jk d[j,k] sigma_k^(j)) on five
-  qubits, ``deltas`` flattened qubit-major with axis order (X, Y, Z).  Terms
-  on different qubits commute, so the unitary factorizes per qubit.
 
 Rotation-angle error ``delta`` relates to a control parameter ``eta`` via
 delta = alpha * (eta - eta_opt); alpha defaults to 1 everywhere, making
 delta and the control offset interchangeable.
 
-Infidelities are entanglement infidelities.  The Pauli-transfer-matrix
-convention uses the normalized Pauli basis (matrices are real); the
-depolarizing channel on one qubit is diag(1, 1-p, 1-p, 1-p), which keeps
-unitary transfer matrices invertible.
+Infidelities are entanglement infidelities; with depolarization they are
+process infidelities in the normalized-Pauli-basis transfer-matrix
+convention, in which one-qubit depolarization is diag(1, 1-p, 1-p, 1-p).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
 from math import cos, pi, sin, sqrt
 
 import numpy as np
@@ -96,34 +91,6 @@ def cz(zi: float = 0.0, iz: float = 0.0, zz: float = 0.0) -> np.ndarray:
     return np.diag(np.exp(1j * phase))
 
 
-def rotation_generator(dx: float, dy: float, dz: float) -> np.ndarray:
-    """exp(-i (dx X + dy Y + dz Z)) in closed form."""
-    angle = sqrt(dx * dx + dy * dy + dz * dz)
-    if angle == 0.0:
-        return np.eye(2, dtype=complex)
-    nvec = (
-        dx * pauli_matrix("X") + dy * pauli_matrix("Y") + dz * pauli_matrix("Z")
-    ) / angle
-    return cos(angle) * np.eye(2, dtype=complex) - 1j * sin(angle) * nvec
-
-
-def idle_noise_factors(deltas: np.ndarray | list[float]) -> np.ndarray:
-    """Per-qubit 2x2 factors of the five-qubit coherent idle-noise unitary."""
-    d = np.asarray(deltas, dtype=float).reshape(5, 3)
-    return np.stack([rotation_generator(*row) for row in d])
-
-
-def idle_noise(deltas: np.ndarray | list[float]) -> np.ndarray:
-    """Full 32x32 coherent idle-noise unitary on five qubits."""
-    d = np.asarray(deltas, dtype=float)
-    if d.size != 15:
-        raise ValueError("idle noise takes 15 angles (5 qubits x 3 axes)")
-    out = np.eye(1, dtype=complex)
-    for factor in idle_noise_factors(d):
-        out = np.kron(out, factor)
-    return out
-
-
 def is_unitary(u: np.ndarray, atol: float = 1e-10) -> bool:
     return bool(np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=atol))
 
@@ -135,45 +102,6 @@ def entanglement_infidelity(w: np.ndarray, v: np.ndarray) -> float:
     d = w.shape[0]
     val = 1.0 - abs(np.trace(w.conj().T @ v)) ** 2 / d**2
     return float(min(max(val, 0.0), 1.0))
-
-
-def _pauli_basis(n_qubits: int) -> list[np.ndarray]:
-    labels = ["".join(s) for s in product("IXYZ", repeat=n_qubits)]
-    norm = sqrt(2.0**n_qubits)
-    return [pauli_matrix(lbl) / norm for lbl in labels]
-
-
-def ptm(u: np.ndarray) -> np.ndarray:
-    """Pauli transfer matrix of a unitary in the normalized Pauli basis."""
-    d = u.shape[0]
-    n = int(np.log2(d))
-    basis = _pauli_basis(n)
-    out = np.empty((d * d, d * d))
-    for j, pj in enumerate(basis):
-        conj = u @ pj @ u.conj().T
-        for i, pi_ in enumerate(basis):
-            out[i, j] = np.trace(pi_.conj().T @ conj).real
-    return out
-
-
-def depolarizing_ptm(p: float, n_qubits: int = 1) -> np.ndarray:
-    """Transfer matrix of full depolarization with probability ``p``."""
-    d2 = 4**n_qubits
-    diag = np.full(d2, 1.0 - p)
-    diag[0] = 1.0
-    return np.diag(diag)
-
-
-def process_infidelity(channel_ptm: np.ndarray, target: np.ndarray) -> float:
-    """1 - Tr(L_channel L_target^-1) / d^2.
-
-    Reduces to ``entanglement_infidelity`` when the channel is unitary.
-    """
-    d2 = channel_ptm.shape[0]
-    lam_u = ptm(target)
-    if abs(np.linalg.det(lam_u)) < 1e-12:
-        raise ValueError("target transfer matrix is singular")
-    return float(1.0 - np.trace(channel_ptm @ np.linalg.inv(lam_u)) / d2)
 
 
 def gx_process_infidelity(delta: float | np.ndarray, p: float = 0.0) -> float | np.ndarray:

@@ -2,20 +2,17 @@
 
 Every stochastic component draws from a numpy Generator built from a
 (seed, stream_id) pair.  Identical pairs reproduce identical draw sequences
-bit-exactly, across runs and platforms (PCG64 is stable).  Trajectory-level
-parallelism uses one stream per trajectory, all derived from a single master
-seed, so results do not depend on scheduling order.
+bit-exactly, across runs and platforms (PCG64 is stable).
 
-Vectorized ensemble runners instead draw per-step arrays from a single
-ensemble stream (see the engine modules); those runs are reproducible for a
-fixed (seed, ensemble size, step count) but are not shot-for-shot identical
-to the sequential engines.
+Lockstep ensemble runs instead draw per-step arrays from a single ensemble
+stream; those runs are reproducible for a fixed (seed, ensemble size, step
+count) but are not shot-for-shot identical to runs that give each
+trajectory its own ``RngStream``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
 
@@ -28,11 +25,6 @@ class RngStream:
 
     def generator(self) -> Generator:
         return Generator(PCG64(SeedSequence(self.seed, spawn_key=(self.stream_id,))))
-
-
-def trajectory_streams(seed: int, n_trajectories: int) -> list[RngStream]:
-    """One independent stream per trajectory, split from a master seed."""
-    return [RngStream(seed, i) for i in range(n_trajectories)]
 
 
 def ensemble_generator(seed: int, tag: int = 0) -> Generator:

@@ -23,8 +23,6 @@ from __future__ import annotations
 import numpy as np
 from numpy.random import Generator
 
-NORM_ATOL = 1e-12
-
 _PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),

@@ -1,10 +1,18 @@
 """Shared test helpers: independent oracles kept out of the package.
 
-The density-matrix channel and the matrix-exponential gate constructions
-here are deliberately separate implementations from the package's
+The density-matrix channel, the Pauli-transfer-matrix algebra, the
+matrix-exponential gate constructions and the variance recursion here are
+deliberately separate implementations from the package's
 statevector/closed-form paths, so every comparison is a genuine dual-route
 check.
+
+Transfer matrices use the normalized Pauli basis (they are real); one-qubit
+depolarization is diag(1, 1-p, 1-p, 1-p), which keeps unitary transfer
+matrices invertible.
 """
+from itertools import product
+from math import sqrt
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -60,6 +68,56 @@ def embed_unitary(u: np.ndarray, targets: list[int], n: int) -> np.ndarray:
             row = sum(b << (n - 1 - q) for q, b in enumerate(new_bits))
             full[row, col] += amp
     return full
+
+
+def _pauli_basis(n_qubits: int) -> list[np.ndarray]:
+    labels = ["".join(s) for s in product("IXYZ", repeat=n_qubits)]
+    norm = sqrt(2.0**n_qubits)
+    return [pauli_matrix(lbl) / norm for lbl in labels]
+
+
+def ptm(u: np.ndarray) -> np.ndarray:
+    """Pauli transfer matrix of a unitary in the normalized Pauli basis."""
+    d = u.shape[0]
+    n = int(np.log2(d))
+    basis = _pauli_basis(n)
+    out = np.empty((d * d, d * d))
+    for j, pj in enumerate(basis):
+        conj = u @ pj @ u.conj().T
+        for i, pi_ in enumerate(basis):
+            out[i, j] = np.trace(pi_.conj().T @ conj).real
+    return out
+
+
+def depolarizing_ptm(p: float, n_qubits: int = 1) -> np.ndarray:
+    """Transfer matrix of full depolarization with probability ``p``."""
+    d2 = 4**n_qubits
+    diag = np.full(d2, 1.0 - p)
+    diag[0] = 1.0
+    return np.diag(diag)
+
+
+def process_infidelity(channel_ptm: np.ndarray, target: np.ndarray) -> float:
+    """1 - Tr(L_channel L_target^-1) / d^2.
+
+    Reduces to ``entanglement_infidelity`` when the channel is unitary.
+    """
+    d2 = channel_ptm.shape[0]
+    lam_u = ptm(target)
+    if abs(np.linalg.det(lam_u)) < 1e-12:
+        raise ValueError("target transfer matrix is singular")
+    return float(1.0 - np.trace(channel_ptm @ np.linalg.inv(lam_u)) / d2)
+
+
+def variance_recursion(sigma0_sq: float, mu0: float, gain: float, s: float,
+                       step: float, t: int) -> float:
+    """Iterate the one-step difference equations; oracle for predict_variance."""
+    mu = mu0
+    var = sigma0_sq
+    for _ in range(t):
+        var = var + gain**2 / s**2 + step**2 - 4.0 * gain * var - 4.0 * gain**2 * mu**2
+        mu = (1.0 - 2.0 * gain) * mu
+    return var
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from conftest import variance_recursion
 from driftcal.analytics import (
     TrajectoryRecord,
     autocorrelation_sum,
@@ -13,7 +14,6 @@ from driftcal.analytics import (
     stationary_variance,
     summarize,
     summarize_scalar,
-    variance_recursion,
 )
 from driftcal.rng import ensemble_generator
 

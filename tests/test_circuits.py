@@ -1,4 +1,4 @@
-"""Circuit execution, sensitivity vectors, and Jacobian machinery."""
+"""Circuit execution, Jacobian rows, and the pseudoinverse estimate."""
 import numpy as np
 import pytest
 
@@ -16,14 +16,13 @@ from driftcal.circuits import (
     gxgy_family,
     pseudoinverse_estimate,
     run_circuit,
-    sensitivity_vector,
 )
 from driftcal.gates import ControlParameterSet
 from driftcal.rng import RngStream
 
-# Published reference matrices, reproduced to 3 decimals by the finite
-# difference machinery (see test_acceptance for the exact comparison and
-# the outcome-labeling notes).
+# Published reference matrices, reproduced to 3 decimals by the
+# finite-difference Jacobian: rows grouped by circuit, outcomes in increasing
+# binary order; CZ_RAW_X4 is four times the cz Jacobian.
 GXGY_RAW = np.array([[0.5, -1.0], [-0.5, 1.0], [-1.5, 1.0], [1.5, -1.0]])
 CZ_RAW_X4 = np.array([
     [0, -1, 1], [0, 1, -1], [0, -1, -1], [0, 1, 1],
@@ -77,15 +76,15 @@ def test_run_circuit_rejects_mismatched_params():
 
 
 def test_noise_placement_options_run():
+    """A noisy run (depolarization after each gate and before measurement)."""
     fam = gx_family(5)
     params = ControlParameterSet.offsets(0.1)
-    for placement in ("before", "after"):
-        gen = RngStream(2, 0).generator()
-        noise = NoiseParams(p=0.01, p_spam=0.02, placement=placement)
-        out = run_circuit(fam.circuits[0], fam, params, noise, gen)
-        assert out in ("0", "1")
+    gen = RngStream(2, 0).generator()
+    noise = NoiseParams(p=0.01, p_spam=0.02)
+    out = run_circuit(fam.circuits[0], fam, params, noise, gen)
+    assert out in ("0", "1")
     with pytest.raises(ValueError):
-        NoiseParams(placement="during")
+        NoiseParams(p=1.5)
 
 
 def test_circuit_validation():
@@ -103,18 +102,18 @@ def test_builtin_circuit_names():
 
 
 # =============================================================================
-# sensitivities
+# Jacobians
 # =============================================================================
 
 def test_single_parameter_sensitivity_closed_form():
     """s_z = -z * alpha * r / 2; outcome "0" (z=+1) at r=1 gives -0.5."""
     fam = gx_family(1)
-    sv = sensitivity_vector(fam.circuits[0], fam, "0")
-    assert sv.values[0] == pytest.approx(-0.5, abs=1e-6)
+    row = build_jacobian(fam.circuits, fam).row(0, "0")
+    assert row[0] == pytest.approx(-0.5, abs=1e-6)
     for reps in (5, 13):
         fam_r = gx_family(reps)
-        sv = sensitivity_vector(fam_r.circuits[0], fam_r, "0")
-        assert sv.values[0] == pytest.approx(-reps / 2, rel=1e-6)
+        row = build_jacobian(fam_r.circuits, fam_r).row(0, "0")
+        assert row[0] == pytest.approx(-reps / 2, rel=1e-6)
 
 
 def test_gxgy_jacobian_values():
@@ -196,3 +195,38 @@ def test_pseudoinverse_length_check():
     jac = build_jacobian(fam.circuits, fam)
     with pytest.raises(ValueError):
         pseudoinverse_estimate(jac, np.zeros(3))
+
+
+def test_pseudoinverse_is_computed_once(monkeypatch):
+    """On (rows, N) cz frequencies the estimate is pinv(J) @ F bit for bit,
+    using the one pinv built with the Jacobian."""
+    calls = []
+    real_pinv = np.linalg.pinv
+
+    def counting_pinv(*args, **kwargs):
+        calls.append(1)
+        return real_pinv(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
+    fam = cz_family(1)
+    jac = build_jacobian(fam.circuits, fam)
+    cached = jac.pinv
+    freqs = np.random.default_rng(17).random((jac.matrix.shape[0], 5))
+    first = pseudoinverse_estimate(jac, freqs)
+    second = pseudoinverse_estimate(jac, freqs)
+    assert len(calls) == 1
+    assert jac.pinv is cached
+    assert first.shape == (3, 5)
+    assert np.array_equal(first, real_pinv(jac.matrix) @ freqs)
+    assert np.array_equal(second, first)
+
+
+def test_pseudoinverse_checks_on_cz_columns():
+    fam = cz_family(1)
+    jac = build_jacobian(fam.circuits, fam)
+    with pytest.raises(ValueError):
+        pseudoinverse_estimate(jac, np.zeros((jac.matrix.shape[0] - 1, 5)))
+    solo = build_jacobian(fam.circuits[:1], fam)
+    assert not solo.informationally_complete
+    with pytest.raises(ValueError):
+        pseudoinverse_estimate(solo, np.zeros((solo.matrix.shape[0], 5)))

@@ -2,30 +2,23 @@
 import numpy as np
 import pytest
 
-from driftcal.drift import (
-    DriftBatch,
-    DriftSpec,
-    DriftState,
-    drift_init,
-    drift_step,
-    one_over_f_coefficients,
-)
+from driftcal.drift import DriftBatch, DriftSpec, one_over_f_coefficients
 from driftcal.rng import RngStream, ensemble_generator
 
 
 def test_zero_step_random_walk_is_frozen(rng):
     spec = DriftSpec(kind="random_walk", step=0.0)
-    state = drift_init(spec, [0.1, -0.2])
+    state = DriftBatch.init(spec, 1, 2, [0.1, -0.2])
     for _ in range(100):
-        drift_step(state, spec, rng)
-    assert np.allclose(state.eta_opt, [0.1, -0.2])
+        state.step(rng)
+    assert np.allclose(state.eta_opt[0], [0.1, -0.2])
 
 
 def test_none_kind_is_frozen(rng):
     spec = DriftSpec(kind="none")
-    state = drift_init(spec, 0.3)
-    drift_step(state, spec, rng)
-    assert state.eta_opt[0] == 0.3 and state.t == 1
+    state = DriftBatch.init(spec, 1, 1, 0.3)
+    state.step(rng)
+    assert state.eta_opt[0, 0] == 0.3 and state.t == 1
 
 
 def test_random_walk_variance_grows_linearly():
@@ -50,16 +43,17 @@ def test_random_walk_is_unbiased():
 
 
 def test_sequential_walk_matches_batch_statistics():
-    """Sequential drift_step agrees with the batch law (3 sigma on mean/var)."""
+    """One-trajectory batches on per-trajectory streams agree with the batch law
+    (3 sigma on mean/var)."""
     spec = DriftSpec(kind="random_walk", step=0.05)
     t, n = 200, 2000
     finals = np.empty(n)
     for i in range(n):
-        state = drift_init(spec, 0.0)
+        state = DriftBatch.init(spec, 1, 1, 0.0)
         gen = RngStream(99, i).generator()
         for _ in range(t):
-            drift_step(state, spec, gen)
-        finals[i] = state.eta_opt[0]
+            state.step(gen)
+        finals[i] = state.eta_opt[0, 0]
     expected_var = spec.step**2 * t
     assert abs(finals.mean()) < 3 * np.sqrt(expected_var / n)
     assert abs(finals.var() / expected_var - 1.0) < 3 * np.sqrt(2.0 / n)
@@ -80,11 +74,11 @@ def test_ou_stationary_variance():
 def test_jump_deterministic_component(rng):
     """With zero OU coefficients the jump is the only motion."""
     spec = DriftSpec(kind="jump", reversion=0.0, volatility=0.0, jump_at=5, jump_size=0.15)
-    state = drift_init(spec, 0.0)
+    state = DriftBatch.init(spec, 1, 1, 0.0)
     trace = []
     for _ in range(10):
-        drift_step(state, spec, rng)
-        trace.append(state.eta_opt[0])
+        state.step(rng)
+        trace.append(state.eta_opt[0, 0])
     assert trace[3] == 0.0 and trace[4] == pytest.approx(0.15) and trace[9] == pytest.approx(0.15)
 
 
@@ -110,19 +104,19 @@ def test_one_over_f_coefficients_exact():
 
 def test_one_over_f_sums_components(rng):
     spec = DriftSpec(kind="one_over_f", scale=0.001)
-    state = drift_init(spec, 0.0)
+    state = DriftBatch.init(spec, 1, 1, 0.0)
     for _ in range(50):
-        drift_step(state, spec, rng)
-    assert state.components.shape == (1, 7)
-    assert state.eta_opt[0] == pytest.approx(0.001 * state.components.sum(), abs=1e-15)
+        state.step(rng)
+    assert state.components.shape == (1, 1, 7)
+    assert state.eta_opt[0, 0] == pytest.approx(0.001 * state.components.sum(), abs=1e-15)
 
 
 def test_composite_sums_parts(rng):
     part = DriftSpec(kind="jump", reversion=0.0, volatility=0.0, jump_at=1, jump_size=0.1)
     spec = DriftSpec(kind="composite", parts=(part, part))
-    state = drift_init(spec, 0.0)
-    drift_step(state, spec, rng)
-    assert state.eta_opt[0] == pytest.approx(0.2)
+    state = DriftBatch.init(spec, 1, 1, 0.0)
+    state.step(rng)
+    assert state.eta_opt[0, 0] == pytest.approx(0.2)
 
 
 def test_multi_parameter_drift_is_independent():

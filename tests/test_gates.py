@@ -2,21 +2,15 @@
 import numpy as np
 import pytest
 
-from conftest import expm_gate
+from conftest import depolarizing_ptm, expm_gate, process_infidelity, ptm
 from driftcal.gates import (
     ControlParameterSet,
     cz,
-    depolarizing_ptm,
     entanglement_infidelity,
     gx,
     gx_process_infidelity,
     gy,
-    hadamard,
-    idle_noise,
-    idle_noise_factors,
     is_unitary,
-    process_infidelity,
-    ptm,
 )
 from driftcal.simcore import apply_unitary, outcome_distribution, pauli_matrix, zero_state
 
@@ -82,37 +76,6 @@ def test_cz_ideal_is_standard_cz():
     u = cz()
     assert np.allclose(np.diag(u) / u[0, 0], [1, 1, 1, -1], atol=1e-12)
     assert entanglement_infidelity(u, cz()) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_idle_noise_zero_is_identity():
-    assert np.allclose(idle_noise(np.zeros(15)), np.eye(32), atol=1e-14)
-
-
-def test_idle_noise_single_axis_term():
-    """One nonzero x-angle on qubit 0 gives exp(-i d X) (x) identity."""
-    deltas = np.zeros(15)
-    deltas[0] = 0.1
-    ref = np.kron(expm_gate(-0.1 * pauli_matrix("X")), np.eye(16))
-    assert np.allclose(idle_noise(deltas), ref, atol=1e-12)
-
-
-def test_idle_noise_matches_expm_generic(rng):
-    deltas = rng.normal(0, 0.05, 15)
-    gen = np.zeros((32, 32), dtype=complex)
-    for q in range(5):
-        for a, axis in enumerate("XYZ"):
-            label = "".join(axis if j == q else "I" for j in range(5))
-            gen += deltas[3 * q + a] * pauli_matrix(label)
-    u = idle_noise(deltas)
-    assert np.allclose(u, expm_gate(-gen), atol=1e-10)
-    assert is_unitary(u)
-    factors = idle_noise_factors(deltas)
-    assert factors.shape == (5, 2, 2)
-
-
-def test_idle_noise_wrong_length():
-    with pytest.raises(ValueError):
-        idle_noise(np.zeros(14))
 
 
 def test_constructors_are_unitary_on_grid():
