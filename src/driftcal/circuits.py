@@ -4,8 +4,14 @@ A ``Circuit`` stores its gate sequence in execution order (first-applied
 first) and a whole-sequence repetition count.  Circuits start from |0...0>
 and end with a computational-basis measurement.
 
-A ``CircuitFamily`` binds a vector of control-parameter errors to concrete
-gate unitaries.  Built-in families:
+A ``CircuitFamily`` is a gate table (gate name -> builder of the gate's
+unitary from the parameter errors) and the probe circuits it runs.  The
+table is checked against the circuits when the family is built: an op that
+names a gate outside the table, or whose target count does not match the
+gate's dimension, raises ``ValueError`` then, not mid-run.  A gate depends
+only on its name and the shot's errors, so each shot builds every distinct
+gate of its circuit once and applies the built gates op by op.  Built-in
+families:
 
 - ``gx_family``: one parameter; every ``gx`` op gets rotation error d[0].
   Repetition parity decides the character of the circuit: odd powers
@@ -31,7 +37,9 @@ pseudoinverse is computed once, when the Jacobian is built.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.random import Generator
@@ -63,6 +71,11 @@ class Circuit:
             if any(t < 0 or t >= self.n_qubits for t in op.targets):
                 raise ValueError(f"gate {op.name} targets out of range")
 
+    @cached_property
+    def gate_names(self) -> tuple[str, ...]:
+        """Distinct gate names in first-use order."""
+        return tuple(dict.fromkeys(op.name for op in self.ops))
+
     def with_reps(self, reps: int) -> "Circuit":
         return Circuit(self.ops, self.n_qubits, reps, self.label)
 
@@ -78,42 +91,42 @@ class NoiseParams:
 
 
 class CircuitFamily:
-    """Maps parameter errors to gate unitaries for a set of probe circuits."""
+    """A gate table (name -> builder(deltas)) and the probe circuits it runs."""
 
     def __init__(self, name: str, n_params: int, circuits: list[Circuit],
-                 gate_map, n_qubits: int):
+                 gates: dict[str, Callable[[np.ndarray], np.ndarray]]):
+        qubits = {c.n_qubits for c in circuits}
+        if len(qubits) != 1:
+            raise ValueError("a family needs circuits that share one qubit count")
         self.name = name
         self.n_params = n_params
         self.circuits = circuits
-        self._gate_map = gate_map
-        self.n_qubits = n_qubits
+        self.n_qubits = qubits.pop()
+        self._gates = gates
+        dims = {g: len(self.gate_unitary(g, np.zeros(n_params))) for g in gates}
+        for circuit in circuits:
+            for op in circuit.ops:
+                if op.name not in dims:
+                    raise ValueError(f"family {name!r} has no gate {op.name!r}")
+                if dims[op.name] != 2**len(op.targets):
+                    raise ValueError(f"gate {op.name!r} does not act on {len(op.targets)} qubit(s)")
 
-    def gate_unitary(self, op: GateOp, deltas: np.ndarray) -> np.ndarray:
-        return self._gate_map(op, deltas)
-
-
-def _gx_map(op: GateOp, d: np.ndarray) -> np.ndarray:
-    if op.name == "gx":
-        return gates.gx(d[0])
-    raise KeyError(op.name)
-
-
-def _gxgy_map(op: GateOp, d: np.ndarray) -> np.ndarray:
-    if op.name == "gx":
-        return gates.gx(d[0])
-    if op.name == "gy":
-        return gates.gy(d[0], -d[1])  # tilt sign convention, see module docstring
-    raise KeyError(op.name)
+    def gate_unitary(self, name: str, deltas: np.ndarray) -> np.ndarray:
+        return self._gates[name](deltas)
 
 
-def _cz_map(op: GateOp, d: np.ndarray) -> np.ndarray:
-    if op.name == "cz":
-        return gates.cz(d[0], d[1], d[2])
-    if op.name == "gx0":
-        return gates.gx(0.0)
-    if op.name == "h":
-        return gates.hadamard()
-    raise KeyError(op.name)
+GX_GATES = {"gx": lambda d: gates.gx(d[0])}
+
+GXGY_GATES = {
+    "gx": lambda d: gates.gx(d[0]),
+    "gy": lambda d: gates.gy(d[0], -d[1]),  # tilt sign convention, see module docstring
+}
+
+CZ_GATES = {
+    "cz": lambda d: gates.cz(d[0], d[1], d[2]),
+    "gx0": lambda d: gates.gx(0.0),
+    "h": lambda d: gates.hadamard(),
+}
 
 
 def gx_power(reps: int = 1) -> Circuit:
@@ -122,7 +135,7 @@ def gx_power(reps: int = 1) -> Circuit:
 
 
 def gx_family(reps: int = 1) -> CircuitFamily:
-    return CircuitFamily("gx", 1, [gx_power(reps)], _gx_map, n_qubits=1)
+    return CircuitFamily("gx", 1, [gx_power(reps)], GX_GATES)
 
 
 def gxgy_circuits(reps: int = 1) -> list[Circuit]:
@@ -133,7 +146,7 @@ def gxgy_circuits(reps: int = 1) -> list[Circuit]:
 
 
 def gxgy_family(reps: int = 1) -> CircuitFamily:
-    return CircuitFamily("gxgy", 2, gxgy_circuits(reps), _gxgy_map, n_qubits=1)
+    return CircuitFamily("gxgy", 2, gxgy_circuits(reps), GXGY_GATES)
 
 
 def cz_circuits(reps: int = 1) -> list[Circuit]:
@@ -148,7 +161,7 @@ def cz_circuits(reps: int = 1) -> list[Circuit]:
 
 
 def cz_family(reps: int = 1) -> CircuitFamily:
-    return CircuitFamily("cz", 3, cz_circuits(reps), _cz_map, n_qubits=2)
+    return CircuitFamily("cz", 3, cz_circuits(reps), CZ_GATES)
 
 
 BUILTIN_CIRCUITS = {
@@ -173,11 +186,19 @@ def circuit_from_names(names: list[str | list], n_qubits: int, reps: int = 1,
     return Circuit(tuple(ops), n_qubits=n_qubits, reps=reps, label=label)
 
 
-def final_state(circuit: Circuit, family: CircuitFamily, deltas: np.ndarray) -> np.ndarray:
+def final_state(circuit: Circuit, family: CircuitFamily, deltas: np.ndarray,
+                noise: NoiseParams = NoiseParams(), rng: Generator | None = None) -> np.ndarray:
+    """The state before measurement, depolarized after each gate and before
+    measurement as ``noise`` says; each distinct gate is built once."""
+    built = {name: family.gate_unitary(name, deltas) for name in circuit.gate_names}
     state = zero_state(circuit.n_qubits)
     for _ in range(circuit.reps):
         for op in circuit.ops:
-            state = apply_unitary(state, family.gate_unitary(op, deltas), op.targets)
+            state = apply_unitary(state, built[op.name], op.targets)
+            if noise.p > 0:
+                state = apply_depolarizing(state, noise.p, op.targets, rng)
+    if noise.p_spam > 0:
+        state = apply_depolarizing(state, noise.p_spam, tuple(range(circuit.n_qubits)), rng)
     return state
 
 
@@ -192,15 +213,7 @@ def run_circuit(circuit: Circuit, family: CircuitFamily, params: ControlParamete
     deltas = params.deltas
     if len(deltas) != family.n_params:
         raise ValueError("parameter count does not match circuit family")
-    state = zero_state(circuit.n_qubits)
-    for _ in range(circuit.reps):
-        for op in circuit.ops:
-            state = apply_unitary(state, family.gate_unitary(op, deltas), op.targets)
-            if noise.p > 0:
-                state = apply_depolarizing(state, noise.p, op.targets, rng)
-    if noise.p_spam > 0:
-        state = apply_depolarizing(state, noise.p_spam, tuple(range(circuit.n_qubits)), rng)
-    return measure_computational(state, rng)
+    return measure_computational(final_state(circuit, family, deltas, noise, rng), rng)
 
 
 @dataclass
@@ -209,12 +222,11 @@ class Jacobian:
     row_labels: list[tuple[int, str]]        # (circuit index, outcome)
     rank: int
     condition_number: float
-    n_params: int
     pinv: np.ndarray                         # (n_params, n_rows), pinv(matrix)
 
     @property
     def informationally_complete(self) -> bool:
-        return self.rank == self.n_params
+        return self.rank == self.matrix.shape[1]
 
     def row(self, circuit_index: int, outcome: str) -> np.ndarray:
         return self.matrix[self.row_labels.index((circuit_index, outcome))]
@@ -247,9 +259,8 @@ def build_jacobian(circuits: list[Circuit], family: CircuitFamily) -> Jacobian:
     svals = np.linalg.svd(matrix, compute_uv=False)
     tol = max(matrix.shape) * np.finfo(float).eps * (svals[0] if len(svals) else 0.0)
     rank = int(np.sum(svals > max(tol, 1e-9)))
-    smallest = svals[m - 1] if len(svals) >= m and svals[m - 1] > 0 else 0.0
-    cond = float(svals[0] / smallest) if smallest > 0 else float("inf")
-    return Jacobian(matrix, labels, rank, cond, m, np.linalg.pinv(matrix))
+    cond = float(svals[0] / svals[m - 1]) if rank == m else float("inf")
+    return Jacobian(matrix, labels, rank, cond, np.linalg.pinv(matrix))
 
 
 def pseudoinverse_estimate(jac: Jacobian, frequencies: np.ndarray) -> np.ndarray:

@@ -74,7 +74,7 @@ class DriftBatch:
 
     @classmethod
     def init(cls, spec: DriftSpec, n_traj: int, m: int, eta_opt0: float | np.ndarray = 0.0) -> "DriftBatch":
-        eta = np.zeros((n_traj, m)) + eta_opt0
+        eta = np.broadcast_to(eta_opt0, (n_traj, m)).astype(float)
         comp = None
         sub = []
         if spec.kind == "one_over_f":

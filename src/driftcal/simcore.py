@@ -83,20 +83,6 @@ def apply_unitary(state: np.ndarray, u: np.ndarray, targets: list[int] | tuple[i
     return psi.transpose(inv).reshape(-1)
 
 
-def apply_pauli(state: np.ndarray, label: str, targets: list[int] | tuple[int, ...] | None = None) -> np.ndarray:
-    """Apply a Pauli string; ``targets`` defaults to all qubits in order."""
-    n = num_qubits(state)
-    if targets is None:
-        targets = list(range(n))
-    if len(label) != len(targets):
-        raise ValueError("label length must match target count")
-    out = state
-    for c, t in zip(label, targets):
-        if c != "I":
-            out = apply_unitary(out, _PAULI_1Q[c], [t])
-    return out
-
-
 def apply_depolarizing(state: np.ndarray, p: float, targets: list[int] | tuple[int, ...], rng: Generator) -> np.ndarray:
     """Stochastic unraveling of the depolarizing channel on ``targets``."""
     if not 0.0 <= p <= 1.0:
@@ -109,7 +95,7 @@ def apply_depolarizing(state: np.ndarray, p: float, targets: list[int] | tuple[i
         return state
     letters = "IXYZ"
     label = "".join(letters[(which >> (2 * (k - 1 - j))) & 3] for j in range(k))
-    return apply_pauli(state, label, targets)
+    return apply_unitary(state, pauli_matrix(label), targets)
 
 
 def outcome_distribution(state: np.ndarray) -> np.ndarray:

@@ -1,16 +1,22 @@
 """Circuit execution, Jacobian rows, and the pseudoinverse estimate."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftcal.circuits import (
     BUILTIN_CIRCUITS,
+    CZ_GATES,
+    GX_GATES,
     Circuit,
+    CircuitFamily,
     GateOp,
     NoiseParams,
     build_jacobian,
     circuit_from_names,
     cz_family,
     exact_distribution,
+    final_state,
     gx_family,
     gx_power,
     gxgy_family,
@@ -102,6 +108,61 @@ def test_builtin_circuit_names():
 
 
 # =============================================================================
+# gate tables
+# =============================================================================
+
+def test_family_rejects_circuits_that_do_not_fit_its_gate_table():
+    with pytest.raises(ValueError, match="no gate 'gz'"):
+        CircuitFamily("gx", 1, [circuit_from_names(["gz"], 1)], GX_GATES)
+    with pytest.raises(ValueError, match="'cz' does not act on 1 qubit"):
+        CircuitFamily("cz", 3, [circuit_from_names([["cz", [0]]], 2)], CZ_GATES)
+    with pytest.raises(ValueError, match="'h' does not act on 2 qubit"):
+        CircuitFamily("cz", 3, [circuit_from_names([["h", [0, 1]]], 2)], CZ_GATES)
+    mixed = [circuit_from_names(["h"], 1), circuit_from_names([["cz", [0, 1]]], 2)]
+    with pytest.raises(ValueError, match="one qubit count"):
+        CircuitFamily("cz", 3, mixed, CZ_GATES)
+    with pytest.raises(ValueError, match="one qubit count"):
+        CircuitFamily("gx", 1, [], GX_GATES)
+    assert cz_family(1).n_qubits == 2 and gx_family(1).n_qubits == 1
+
+
+def test_each_gate_is_built_once_per_shot(monkeypatch):
+    """One noisy shot builds each distinct gate of its circuit once."""
+    cases = ((gx_family(21), 0, 1), (gxgy_family(1), 1, 2), (cz_family(1), 0, 3))
+    built = []
+    real = CircuitFamily.gate_unitary
+
+    def counting(self, name, deltas):
+        built.append(name)
+        return real(self, name, deltas)
+
+    monkeypatch.setattr(CircuitFamily, "gate_unitary", counting)
+    for fam, ci, n_gates in cases:
+        built.clear()
+        params = ControlParameterSet.offsets(np.full(fam.n_params, 0.01))
+        run_circuit(fam.circuits[ci], fam, params, NoiseParams(p=0.01, p_spam=0.02),
+                    RngStream(4, ci).generator())
+        assert len(built) == len(set(built)) == n_gates
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(deltas=st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3),
+       reps=st.integers(1, 21))
+def test_table_gates_are_unitary_and_states_normalized(deltas, reps):
+    noise = NoiseParams(p=0.3, p_spam=0.3)
+    for fam in (gx_family(reps), gxgy_family(reps), cz_family(reps)):
+        d = np.array(deltas[:fam.n_params])
+        for ci, circuit in enumerate(fam.circuits):
+            for op in circuit.ops:
+                u = fam.gate_unitary(op.name, d)
+                assert u.shape == (2**len(op.targets),) * 2
+                assert np.allclose(u.conj().T @ u, np.eye(len(u)), atol=1e-12)
+            for state in (final_state(circuit, fam, d),
+                          final_state(circuit, fam, d, noise, RngStream(5, ci).generator())):
+                assert np.vdot(state, state).real == pytest.approx(1.0, abs=1e-12)
+
+
+# =============================================================================
 # Jacobians
 # =============================================================================
 
@@ -153,7 +214,12 @@ def test_rank_deficiency_flagged():
     fam = gxgy_family(1)
     solo = build_jacobian(fam.circuits[:1], fam)
     assert solo.rank == 1
+    assert solo.condition_number == np.inf
     assert not solo.informationally_complete
+    cz = cz_family(1)
+    cz_solo = build_jacobian(cz.circuits[:1], cz)
+    assert cz_solo.rank == 2
+    assert cz_solo.condition_number == np.inf
     with pytest.raises(ValueError):
         pseudoinverse_estimate(solo, np.array([0.5, 0.5]))
 

@@ -21,6 +21,20 @@ def test_none_kind_is_frozen(rng):
     assert state.eta_opt[0, 0] == 0.3 and state.t == 1
 
 
+def test_init_start_must_broadcast_to_ensemble_shape():
+    """A start of length n_traj with m=1 is rejected; an (n_traj, 1) column is kept."""
+    spec = DriftSpec(kind="random_walk", step=0.1)
+    with pytest.raises(ValueError):
+        DriftBatch.init(spec, 3, 1, np.array([0.1, 0.2, 0.3]))
+    start = np.array([[0.1], [0.2], [0.3]])
+    batch = DriftBatch.init(spec, 3, 1, start)
+    assert batch.eta_opt.shape == (3, 1)
+    assert np.array_equal(batch.eta_opt, start)
+    batch.step(ensemble_generator(5))   # steps a copy, not the caller's array
+    assert np.array_equal(start[:, 0], [0.1, 0.2, 0.3])
+    assert not np.array_equal(batch.eta_opt, start)
+
+
 def test_random_walk_variance_grows_linearly():
     """Var[eta_opt_t - eta_opt_0] = step^2 * t within 5% (1e5 walkers, t=1000)."""
     step, t, n = 0.001, 1000, 100_000

@@ -7,7 +7,6 @@ from driftcal.gates import cz, gx
 from driftcal.rng import RngStream
 from driftcal.simcore import (
     apply_depolarizing,
-    apply_pauli,
     apply_unitary,
     bit_to_z,
     measure_computational,
@@ -202,6 +201,7 @@ def test_identical_streams_reproduce_bit_exact():
 def test_pauli_matrix_and_apply_pauli(rng):
     state = rng.normal(size=4) + 1j * rng.normal(size=4)
     state /= np.linalg.norm(state)
-    assert np.allclose(apply_pauli(state, "XZ"), pauli_matrix("XZ") @ state, atol=1e-12)
+    x_then_z = apply_unitary(apply_unitary(state, pauli_matrix("X"), [0]), pauli_matrix("Z"), [1])
+    assert np.allclose(pauli_matrix("XZ") @ state, x_then_z, atol=1e-12)
     with pytest.raises(ValueError):
         pauli_matrix("XQ")
