@@ -8,7 +8,8 @@ A ``CircuitFamily`` is a gate table (gate name -> builder of the gate's
 unitary from the parameter errors) and the probe circuits it runs.  The
 table is checked against the circuits when the family is built: an op that
 names a gate outside the table, or whose target count does not match the
-gate's dimension, raises ``ValueError`` then, not mid-run.  A gate depends
+gate's dimension, and a gate that reads more errors than the family has
+parameters raise ``ValueError`` then, not mid-run.  A gate depends
 only on its name and the shot's errors, so each shot builds every distinct
 gate of its circuit once and applies the built gates op by op.  Built-in
 families:
@@ -32,8 +33,11 @@ Each Jacobian row is the sensitivity of one (circuit, outcome) probability:
 central finite differences of the noiseless outcome distribution at the
 zero-error point, taken with respect to the control parameters (step
 ``FD_STEP`` = 1e-5: small enough that printed 3-decimal references are
-reproduced, large enough to stay clear of roundoff).  The Jacobian's
-pseudoinverse is computed once, when the Jacobian is built.
+reproduced, large enough to stay clear of roundoff).  Rank, condition
+number and pseudoinverse come from one SVD of the Jacobian, taken once when
+it is built, with one cutoff: singular values at or below
+max(max(shape) * eps * s[0], 1e-9) count as zero, so the pseudoinverse is
+the one truncated at the rank.
 """
 from __future__ import annotations
 
@@ -62,12 +66,13 @@ class Circuit:
     ops: tuple[GateOp, ...]
     n_qubits: int
     reps: int = 1
-    label: str = ""
 
     def __post_init__(self) -> None:
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         for op in self.ops:
+            if len(set(op.targets)) != len(op.targets):
+                raise ValueError(f"gate {op.name} repeats a target")
             if any(t < 0 or t >= self.n_qubits for t in op.targets):
                 raise ValueError(f"gate {op.name} targets out of range")
 
@@ -75,9 +80,6 @@ class Circuit:
     def gate_names(self) -> tuple[str, ...]:
         """Distinct gate names in first-use order."""
         return tuple(dict.fromkeys(op.name for op in self.ops))
-
-    def with_reps(self, reps: int) -> "Circuit":
-        return Circuit(self.ops, self.n_qubits, reps, self.label)
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,10 @@ class CircuitFamily:
         self.circuits = circuits
         self.n_qubits = qubits.pop()
         self._gates = gates
-        dims = {g: len(self.gate_unitary(g, np.zeros(n_params))) for g in gates}
+        try:
+            dims = {g: len(self.gate_unitary(g, np.zeros(n_params))) for g in gates}
+        except IndexError as exc:
+            raise ValueError(f"family {name!r}: a gate reads more than {n_params} error(s)") from exc
         for circuit in circuits:
             for op in circuit.ops:
                 if op.name not in dims:
@@ -131,7 +136,7 @@ CZ_GATES = {
 
 def gx_power(reps: int = 1) -> Circuit:
     """(gx)^reps on one qubit; reps odd -> indefinite, even -> definite."""
-    return Circuit((GateOp("gx", (0,)),), n_qubits=1, reps=reps, label=f"gx_power_{reps}")
+    return Circuit((GateOp("gx", (0,)),), n_qubits=1, reps=reps)
 
 
 def gx_family(reps: int = 1) -> CircuitFamily:
@@ -142,7 +147,7 @@ def gxgy_circuits(reps: int = 1) -> list[Circuit]:
     # written right-to-left in the usual circuit notation; stored in execution order
     c1 = tuple(GateOp(n, (0,)) for n in ("gx", "gy", "gx", "gy", "gx"))
     c2 = tuple(GateOp(n, (0,)) for n in ("gy", "gx", "gy", "gx", "gy", "gx", "gx"))
-    return [Circuit(c1, 1, reps, "gxgy_c1"), Circuit(c2, 1, reps, "gxgy_c2")]
+    return [Circuit(c1, 1, reps), Circuit(c2, 1, reps)]
 
 
 def gxgy_family(reps: int = 1) -> CircuitFamily:
@@ -157,33 +162,11 @@ def cz_circuits(reps: int = 1) -> list[Circuit]:
             ops.append(GateOp("cz", (0, 1)))
         return tuple(ops)
 
-    return [Circuit(seq(1), 2, reps, "cz_c1"), Circuit(seq(0), 2, reps, "cz_c2")]
+    return [Circuit(seq(1), 2, reps), Circuit(seq(0), 2, reps)]
 
 
 def cz_family(reps: int = 1) -> CircuitFamily:
     return CircuitFamily("cz", 3, cz_circuits(reps), CZ_GATES)
-
-
-BUILTIN_CIRCUITS = {
-    "gx_power": lambda reps=1: gx_power(reps),
-    "gxgy_c1": lambda reps=1: gxgy_circuits(reps)[0],
-    "gxgy_c2": lambda reps=1: gxgy_circuits(reps)[1],
-    "cz_c1": lambda reps=1: cz_circuits(reps)[0],
-    "cz_c2": lambda reps=1: cz_circuits(reps)[1],
-}
-
-
-def circuit_from_names(names: list[str | list], n_qubits: int, reps: int = 1,
-                       label: str = "custom") -> Circuit:
-    """Build a circuit from [name, targets] pairs (or bare names on qubit 0)."""
-    ops = []
-    for entry in names:
-        if isinstance(entry, str):
-            ops.append(GateOp(entry, (0,)))
-        else:
-            name, targets = entry
-            ops.append(GateOp(name, tuple(targets)))
-    return Circuit(tuple(ops), n_qubits=n_qubits, reps=reps, label=label)
 
 
 def final_state(circuit: Circuit, family: CircuitFamily, deltas: np.ndarray,
@@ -222,7 +205,7 @@ class Jacobian:
     row_labels: list[tuple[int, str]]        # (circuit index, outcome)
     rank: int
     condition_number: float
-    pinv: np.ndarray                         # (n_params, n_rows), pinv(matrix)
+    pinv: np.ndarray                         # (n_params, n_rows), truncated at rank
 
     @property
     def informationally_complete(self) -> bool:
@@ -256,11 +239,13 @@ def build_jacobian(circuits: list[Circuit], family: CircuitFamily) -> Jacobian:
             rows.append(block[idx])
             labels.append((ci, format(idx, f"0{circuit.n_qubits}b")))
     matrix = np.vstack(rows)
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    tol = max(matrix.shape) * np.finfo(float).eps * (svals[0] if len(svals) else 0.0)
-    rank = int(np.sum(svals > max(tol, 1e-9)))
-    cond = float(svals[0] / svals[m - 1]) if rank == m else float("inf")
-    return Jacobian(matrix, labels, rank, cond, np.linalg.pinv(matrix))
+    u, s, vt = np.linalg.svd(matrix, full_matrices=False)
+    kept = s > max(max(matrix.shape) * np.finfo(float).eps * s[0], 1e-9)
+    rank = int(kept.sum())
+    cond = float(s[0] / s[m - 1]) if rank == m else float("inf")
+    inv = np.zeros_like(s)
+    inv[kept] = 1.0 / s[kept]
+    return Jacobian(matrix, labels, rank, cond, vt.T @ (inv[:, None] * u.T))
 
 
 def pseudoinverse_estimate(jac: Jacobian, frequencies: np.ndarray) -> np.ndarray:

@@ -14,11 +14,11 @@ Supported processes:
   volatility^2 / (1 - exp(-2 * reversion)).
 - ``jump``: the Ornstein-Uhlenbeck process plus a one-time shift of
   ``jump_size`` at shot ``jump_at``.
-- ``one_over_f``: scale * sum of ``n_components`` independent OU components
-  with reversion[i] = 10 * (1/4)**i and volatility[i] =
-  2**i * (1 - exp(-2 * reversion[i])), i = 1..n; octave-spaced correlation
-  times give an approximately 1/f spectrum.
-- ``composite``: sum of independent sub-processes.
+- ``one_over_f``: the start plus scale * sum of ``n_components``
+  independent OU components with reversion[i] = 10 * (1/4)**i and
+  volatility[i] = 2**i * (1 - exp(-2 * reversion[i])), i = 1..n;
+  octave-spaced correlation times give an approximately 1/f spectrum.
+- ``composite``: the start plus the sum of independent sub-processes.
 - ``none``: frozen optimum.
 """
 from __future__ import annotations
@@ -48,6 +48,8 @@ class DriftSpec:
             raise ValueError(f"unknown drift kind {self.kind!r}")
         if self.step < 0 or self.volatility < 0 or self.reversion < 0:
             raise ValueError("drift magnitudes must be nonnegative")
+        if self.jump_at < 1:
+            raise ValueError("jump_at must be >= 1")
         if self.n_components < 1:
             raise ValueError("n_components must be >= 1")
         if self.kind == "composite" and not self.parts:
@@ -68,6 +70,7 @@ class DriftBatch:
 
     spec: DriftSpec
     eta_opt: np.ndarray                        # (n_traj, m)
+    start: np.ndarray                          # (n_traj, m), eta_opt at init
     t: int = 0
     components: np.ndarray | None = None       # (n_traj, m, n_components)
     sub: list["DriftBatch"] = field(default_factory=list)
@@ -81,7 +84,7 @@ class DriftBatch:
             comp = np.zeros((n_traj, m, spec.n_components))
         elif spec.kind == "composite":
             sub = [cls.init(p, n_traj, m, 0.0) for p in spec.parts]
-        return cls(spec=spec, eta_opt=eta, components=comp, sub=sub)
+        return cls(spec=spec, eta_opt=eta, start=eta.copy(), components=comp, sub=sub)
 
     def step(self, rng: Generator) -> None:
         spec = self.spec
@@ -100,10 +103,9 @@ class DriftBatch:
             rev, vol = one_over_f_coefficients(spec.n_components)
             self.components *= np.exp(-rev)
             self.components += vol * rng.standard_normal(self.components.shape)
-            self.eta_opt[:] = spec.scale * self.components.sum(axis=2)
+            self.eta_opt[:] = self.start + spec.scale * self.components.sum(axis=2)
         else:  # composite
-            total = np.zeros(shape)
+            self.eta_opt[:] = self.start
             for sb in self.sub:
                 sb.step(rng)
-                total += sb.eta_opt
-            self.eta_opt[:] = total
+                self.eta_opt += sb.eta_opt

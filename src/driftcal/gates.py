@@ -91,10 +91,6 @@ def cz(zi: float = 0.0, iz: float = 0.0, zz: float = 0.0) -> np.ndarray:
     return np.diag(np.exp(1j * phase))
 
 
-def is_unitary(u: np.ndarray, atol: float = 1e-10) -> bool:
-    return bool(np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=atol))
-
-
 def entanglement_infidelity(w: np.ndarray, v: np.ndarray) -> float:
     """1 - |Tr(W^dag V)|^2 / d^2 for two unitaries of equal dimension."""
     if w.shape != v.shape:

@@ -1,30 +1,14 @@
 """Reproducible random-number streams.
 
-Every stochastic component draws from a numpy Generator built from a
-(seed, stream_id) pair.  Identical pairs reproduce identical draw sequences
-bit-exactly, across runs and platforms (PCG64 is stable).
-
-Lockstep ensemble runs instead draw per-step arrays from a single ensemble
-stream; those runs are reproducible for a fixed (seed, ensemble size, step
-count) but are not shot-for-shot identical to runs that give each
-trajectory its own ``RngStream``.
+A lockstep ensemble run draws per-step arrays from one ensemble stream, a
+numpy Generator built from a (seed, tag) pair.  Identical pairs reproduce
+identical draw sequences bit-exactly, across runs and platforms (PCG64 is
+stable), so a run is reproducible for a fixed (seed, ensemble size, step
+count).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from numpy.random import Generator, PCG64, SeedSequence
-
-
-@dataclass(frozen=True)
-class RngStream:
-    """Identifies one reproducible stream of random draws."""
-
-    seed: int
-    stream_id: int = 0
-
-    def generator(self) -> Generator:
-        return Generator(PCG64(SeedSequence(self.seed, spawn_key=(self.stream_id,))))
 
 
 def ensemble_generator(seed: int, tag: int = 0) -> Generator:

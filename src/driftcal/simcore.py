@@ -116,8 +116,3 @@ def measure_computational(state: np.ndarray, rng: Generator) -> str:
 def bit_to_z(bit: int | str) -> int:
     """Measured bit -> sigma-z eigenvalue (0 -> +1, 1 -> -1)."""
     return 1 - 2 * int(bit)
-
-
-def overlap(a: np.ndarray, b: np.ndarray) -> float:
-    """|<a|b>|, the global-phase-insensitive state overlap."""
-    return float(abs(np.vdot(a, b)))

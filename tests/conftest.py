@@ -4,7 +4,8 @@ The density-matrix channel, the Pauli-transfer-matrix algebra, the
 matrix-exponential gate constructions and the variance recursion here are
 deliberately separate implementations from the package's
 statevector/closed-form paths, so every comparison is a genuine dual-route
-check.
+check.  The state overlap, the unitarity check and the per-id random
+streams are helpers only the tests use.
 
 Transfer matrices use the normalized Pauli basis (they are real); one-qubit
 depolarization is diag(1, 1-p, 1-p, 1-p), which keeps unitary transfer
@@ -15,6 +16,7 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from numpy.random import Generator, PCG64, SeedSequence
 from scipy.linalg import expm
 
 from driftcal.simcore import pauli_matrix
@@ -107,6 +109,20 @@ def process_infidelity(channel_ptm: np.ndarray, target: np.ndarray) -> float:
     if abs(np.linalg.det(lam_u)) < 1e-12:
         raise ValueError("target transfer matrix is singular")
     return float(1.0 - np.trace(channel_ptm @ np.linalg.inv(lam_u)) / d2)
+
+
+def overlap(a: np.ndarray, b: np.ndarray) -> float:
+    """|<a|b>|, the global-phase-insensitive state overlap."""
+    return float(abs(np.vdot(a, b)))
+
+
+def is_unitary(u: np.ndarray, atol: float = 1e-10) -> bool:
+    return bool(np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=atol))
+
+
+def stream(seed: int, stream_id: int = 0) -> Generator:
+    """A per-(seed, stream_id) PCG64 stream for tests that need several independent ones."""
+    return Generator(PCG64(SeedSequence(seed, spawn_key=(stream_id,))))
 
 
 def variance_recursion(sigma0_sq: float, mu0: float, gain: float, s: float,

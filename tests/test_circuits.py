@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import stream
 from driftcal.circuits import (
-    BUILTIN_CIRCUITS,
     CZ_GATES,
     GX_GATES,
     Circuit,
@@ -13,18 +13,16 @@ from driftcal.circuits import (
     GateOp,
     NoiseParams,
     build_jacobian,
-    circuit_from_names,
+    cz_circuits,
     cz_family,
     exact_distribution,
     final_state,
     gx_family,
-    gx_power,
     gxgy_family,
     pseudoinverse_estimate,
     run_circuit,
 )
 from driftcal.gates import ControlParameterSet
-from driftcal.rng import RngStream
 
 # Published reference matrices, reproduced to 3 decimals by the
 # finite-difference Jacobian: rows grouped by circuit, outcomes in increasing
@@ -43,7 +41,7 @@ CZ_RAW_X4 = np.array([
 def test_single_gx_uniform_outcomes():
     fam = gx_family(1)
     params = ControlParameterSet.offsets(0.0)
-    gen = RngStream(1, 0).generator()
+    gen = stream(1, 0)
     shots = 50_000
     ones = sum(
         int(run_circuit(fam.circuits[0], fam, params, NoiseParams(), gen))
@@ -55,7 +53,7 @@ def test_single_gx_uniform_outcomes():
 def test_gx_power_six_is_deterministic():
     fam = gx_family(6)
     params = ControlParameterSet.offsets(0.0)
-    gen = RngStream(1, 1).generator()
+    gen = stream(1, 1)
     for _ in range(50):
         assert run_circuit(fam.circuits[0], fam, params, NoiseParams(), gen) == "1"
 
@@ -65,7 +63,7 @@ def test_cz_probe_uniform_over_four_outcomes():
     params = ControlParameterSet.offsets([0.0, 0.0, 0.0])
     probs = exact_distribution(fam.circuits[0], fam, params.deltas)
     assert np.allclose(probs, 0.25, atol=1e-12)
-    gen = RngStream(1, 2).generator()
+    gen = stream(1, 2)
     shots = 20_000
     counts = np.zeros(4)
     for _ in range(shots):
@@ -76,7 +74,7 @@ def test_cz_probe_uniform_over_four_outcomes():
 
 def test_run_circuit_rejects_mismatched_params():
     fam = cz_family(1)
-    gen = RngStream(1, 3).generator()
+    gen = stream(1, 3)
     with pytest.raises(ValueError):
         run_circuit(fam.circuits[0], fam, ControlParameterSet.offsets(0.0), NoiseParams(), gen)
 
@@ -85,7 +83,7 @@ def test_noise_placement_options_run():
     """A noisy run (depolarization after each gate and before measurement)."""
     fam = gx_family(5)
     params = ControlParameterSet.offsets(0.1)
-    gen = RngStream(2, 0).generator()
+    gen = stream(2, 0)
     noise = NoiseParams(p=0.01, p_spam=0.02)
     out = run_circuit(fam.circuits[0], fam, params, noise, gen)
     assert out in ("0", "1")
@@ -98,13 +96,8 @@ def test_circuit_validation():
         Circuit((GateOp("gx", (0,)),), n_qubits=1, reps=0)
     with pytest.raises(ValueError):
         Circuit((GateOp("gx", (1,)),), n_qubits=1)
-    assert gx_power(5).with_reps(9).reps == 9
-
-
-def test_builtin_circuit_names():
-    assert set(BUILTIN_CIRCUITS) == {"gx_power", "gxgy_c1", "gxgy_c2", "cz_c1", "cz_c2"}
-    c = circuit_from_names([["gx", [0]], "gx"], n_qubits=1, reps=2)
-    assert len(c.ops) == 2 and c.reps == 2
+    with pytest.raises(ValueError, match="repeats a target"):
+        Circuit((GateOp("cz", (0, 0)),), n_qubits=2)
 
 
 # =============================================================================
@@ -113,14 +106,16 @@ def test_builtin_circuit_names():
 
 def test_family_rejects_circuits_that_do_not_fit_its_gate_table():
     with pytest.raises(ValueError, match="no gate 'gz'"):
-        CircuitFamily("gx", 1, [circuit_from_names(["gz"], 1)], GX_GATES)
+        CircuitFamily("gx", 1, [Circuit((GateOp("gz", (0,)),), 1)], GX_GATES)
     with pytest.raises(ValueError, match="'cz' does not act on 1 qubit"):
-        CircuitFamily("cz", 3, [circuit_from_names([["cz", [0]]], 2)], CZ_GATES)
+        CircuitFamily("cz", 3, [Circuit((GateOp("cz", (0,)),), 2)], CZ_GATES)
     with pytest.raises(ValueError, match="'h' does not act on 2 qubit"):
-        CircuitFamily("cz", 3, [circuit_from_names([["h", [0, 1]]], 2)], CZ_GATES)
-    mixed = [circuit_from_names(["h"], 1), circuit_from_names([["cz", [0, 1]]], 2)]
+        CircuitFamily("cz", 3, [Circuit((GateOp("h", (0, 1)),), 2)], CZ_GATES)
+    mixed = [Circuit((GateOp("h", (0,)),), 1), Circuit((GateOp("cz", (0, 1)),), 2)]
     with pytest.raises(ValueError, match="one qubit count"):
         CircuitFamily("cz", 3, mixed, CZ_GATES)
+    with pytest.raises(ValueError, match="reads more than 1 error"):
+        CircuitFamily("cz", 1, cz_circuits(), CZ_GATES)
     with pytest.raises(ValueError, match="one qubit count"):
         CircuitFamily("gx", 1, [], GX_GATES)
     assert cz_family(1).n_qubits == 2 and gx_family(1).n_qubits == 1
@@ -141,7 +136,7 @@ def test_each_gate_is_built_once_per_shot(monkeypatch):
         built.clear()
         params = ControlParameterSet.offsets(np.full(fam.n_params, 0.01))
         run_circuit(fam.circuits[ci], fam, params, NoiseParams(p=0.01, p_spam=0.02),
-                    RngStream(4, ci).generator())
+                    stream(4, ci))
         assert len(built) == len(set(built)) == n_gates
 
 
@@ -158,7 +153,7 @@ def test_table_gates_are_unitary_and_states_normalized(deltas, reps):
                 assert u.shape == (2**len(op.targets),) * 2
                 assert np.allclose(u.conj().T @ u, np.eye(len(u)), atol=1e-12)
             for state in (final_state(circuit, fam, d),
-                          final_state(circuit, fam, d, noise, RngStream(5, ci).generator())):
+                          final_state(circuit, fam, d, noise, stream(5, ci))):
                 assert np.vdot(state, state).real == pytest.approx(1.0, abs=1e-12)
 
 
@@ -220,6 +215,13 @@ def test_rank_deficiency_flagged():
     cz_solo = build_jacobian(cz.circuits[:1], cz)
     assert cz_solo.rank == 2
     assert cz_solo.condition_number == np.inf
+    for jac in (solo, cz_solo):
+        # the pseudoinverse is truncated at the rank, not at finite-difference noise
+        proj = jac.pinv @ jac.matrix
+        assert np.allclose(proj @ proj, proj, atol=1e-9)
+        assert np.allclose(proj, proj.T, atol=1e-9)
+        assert np.trace(proj) == pytest.approx(jac.rank, abs=1e-9)
+        assert np.abs(jac.pinv).max() < 2
     with pytest.raises(ValueError):
         pseudoinverse_estimate(solo, np.array([0.5, 0.5]))
 
@@ -265,22 +267,25 @@ def test_pseudoinverse_length_check():
 
 def test_pseudoinverse_is_computed_once(monkeypatch):
     """On (rows, N) cz frequencies the estimate is pinv(J) @ F bit for bit,
-    using the one pinv built with the Jacobian."""
+    using the pseudoinverse built from the Jacobian's one SVD."""
     calls = []
-    real_pinv = np.linalg.pinv
+    real_svd, real_pinv = np.linalg.svd, np.linalg.pinv
 
-    def counting_pinv(*args, **kwargs):
-        calls.append(1)
-        return real_pinv(*args, **kwargs)
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", real_svd))
+    monkeypatch.setattr(np.linalg, "pinv", counting("pinv", real_pinv))
     fam = cz_family(1)
     jac = build_jacobian(fam.circuits, fam)
     cached = jac.pinv
     freqs = np.random.default_rng(17).random((jac.matrix.shape[0], 5))
     first = pseudoinverse_estimate(jac, freqs)
     second = pseudoinverse_estimate(jac, freqs)
-    assert len(calls) == 1
+    assert calls == ["svd"]
     assert jac.pinv is cached
     assert first.shape == (3, 5)
     assert np.array_equal(first, real_pinv(jac.matrix) @ freqs)

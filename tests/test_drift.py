@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from driftcal.drift import DriftBatch, DriftSpec, one_over_f_coefficients
-from driftcal.rng import RngStream, ensemble_generator
+from conftest import stream
+from driftcal.drift import KINDS, DriftBatch, DriftSpec, one_over_f_coefficients
+from driftcal.rng import ensemble_generator
 
 
 def test_zero_step_random_walk_is_frozen(rng):
@@ -19,6 +20,21 @@ def test_none_kind_is_frozen(rng):
     state = DriftBatch.init(spec, 1, 1, 0.3)
     state.step(rng)
     assert state.eta_opt[0, 0] == 0.3 and state.t == 1
+
+
+def test_every_kind_keeps_its_start_when_motionless(rng):
+    """With zero motion every kind holds eta_opt exactly at its start."""
+    walk = DriftSpec(kind="random_walk", step=0.0)
+    still = dict(reversion=0.0, volatility=0.0, jump_at=100)
+    specs = (DriftSpec(kind="none"), walk, DriftSpec(kind="ornstein_uhlenbeck", **still),
+             DriftSpec(kind="jump", **still), DriftSpec(kind="one_over_f", scale=0.0),
+             DriftSpec(kind="composite", parts=(walk,)))
+    assert {spec.kind for spec in specs} == set(KINDS)
+    for spec in specs:
+        state = DriftBatch.init(spec, 2, 1, 0.3)
+        for _ in range(5):
+            state.step(rng)
+        assert np.all(state.eta_opt == 0.3), spec.kind
 
 
 def test_init_start_must_broadcast_to_ensemble_shape():
@@ -64,7 +80,7 @@ def test_sequential_walk_matches_batch_statistics():
     finals = np.empty(n)
     for i in range(n):
         state = DriftBatch.init(spec, 1, 1, 0.0)
-        gen = RngStream(99, i).generator()
+        gen = stream(99, i)
         for _ in range(t):
             state.step(gen)
         finals[i] = state.eta_opt[0, 0]
@@ -152,3 +168,5 @@ def test_spec_validation():
         DriftSpec(kind="random_walk", step=-1.0)
     with pytest.raises(ValueError):
         DriftSpec(kind="composite")
+    with pytest.raises(ValueError):
+        DriftSpec(kind="jump", jump_at=0)

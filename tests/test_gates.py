@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from conftest import depolarizing_ptm, expm_gate, process_infidelity, ptm
+from conftest import depolarizing_ptm, expm_gate, is_unitary, process_infidelity, ptm
 from driftcal.gates import (
     ControlParameterSet,
     cz,
@@ -10,7 +10,6 @@ from driftcal.gates import (
     gx,
     gx_process_infidelity,
     gy,
-    is_unitary,
 )
 from driftcal.simcore import apply_unitary, outcome_distribution, pauli_matrix, zero_state
 

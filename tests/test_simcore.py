@@ -2,16 +2,15 @@
 import numpy as np
 import pytest
 
-from conftest import density_from_state, depolarize_density, embed_unitary, expm_gate
+from conftest import density_from_state, depolarize_density, embed_unitary, expm_gate, overlap, stream
 from driftcal.gates import cz, gx
-from driftcal.rng import RngStream
+from driftcal.rng import ensemble_generator
 from driftcal.simcore import (
     apply_depolarizing,
     apply_unitary,
     bit_to_z,
     measure_computational,
     outcome_distribution,
-    overlap,
     pauli_matrix,
     zero_state,
 )
@@ -93,7 +92,7 @@ def test_depolarizing_rejects_bad_probability(rng):
 
 def test_full_depolarization_gives_uniform_outcomes():
     """p=1 on one qubit: shot-averaged z-measurement is 50/50 within 3 sigma."""
-    gen = RngStream(7, 0).generator()
+    gen = stream(7, 0)
     shots = 100_000
     ones = 0
     for _ in range(shots):
@@ -106,7 +105,7 @@ def test_full_depolarization_gives_uniform_outcomes():
 @pytest.mark.parametrize("p,targets,n", [(0.01, [0], 1), (0.05, [0, 1], 2), (0.03, [1], 2)])
 def test_unraveling_matches_density_matrix_channel(p, targets, n):
     """Shot-averaged outcome distribution equals the exact channel output."""
-    gen = RngStream(11, n).generator()
+    gen = stream(11, n)
     base = zero_state(n)
     base = apply_unitary(base, gx(0.4), [0])
     if n == 2:
@@ -141,7 +140,7 @@ def test_zero_state_measures_zero(rng):
 
 def test_single_ideal_gx_is_unbiased():
     """One gx(0) on |0>: outcomes 0/1 each 0.5 within 3 sigma."""
-    gen = RngStream(3, 1).generator()
+    gen = stream(3, 1)
     state = apply_unitary(zero_state(1), gx(0.0), [0])
     shots = 100_000
     ones = sum(int(measure_computational(state, gen)) for _ in range(shots))
@@ -165,7 +164,7 @@ def test_deterministic_outcome_for_even_power():
 
 def test_sampling_matches_distribution_self_consistency():
     """Monte Carlo frequencies track outcome_distribution within 4 SE."""
-    gen = RngStream(5, 2).generator()
+    gen = stream(5, 2)
     state = apply_unitary(zero_state(2), cz(0.0, 0.0, 0.0) @ np.kron(gx(0.3), gx(-0.1)), [0, 1])
     probs = outcome_distribution(state)
     shots = 200_000
@@ -191,11 +190,11 @@ def test_bit_to_z_convention():
 # =============================================================================
 
 def test_identical_streams_reproduce_bit_exact():
-    a = RngStream(123, 4).generator()
-    b = RngStream(123, 4).generator()
+    a = ensemble_generator(123, 4)
+    b = ensemble_generator(123, 4)
     assert np.array_equal(a.random(1000), b.random(1000))
-    c = RngStream(123, 5).generator()
-    assert not np.array_equal(RngStream(123, 4).generator().random(1000), c.random(1000))
+    c = ensemble_generator(123, 5)
+    assert not np.array_equal(ensemble_generator(123, 4).random(1000), c.random(1000))
 
 
 def test_pauli_matrix_and_apply_pauli(rng):
