@@ -16,18 +16,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def predict_mean(mu0: float, gain: float, t: int | np.ndarray, continuous: bool = False):
-    """Mean parameter error after t feedback steps (no or unbiased drift)."""
+def _check_gain(gain: float) -> None:
+    """The closed forms hold for a gain in [0, 1/2), where 1 - 4 gain lies in (-1, 1]."""
     if not 0 <= gain < 0.5:
         raise ValueError("gain must lie in [0, 1/2)")
-    t = np.asarray(t)
-    if continuous:
-        return mu0 * np.exp(-2.0 * gain * t)
-    return mu0 * (1.0 - 2.0 * gain) ** t
+
+
+def predict_mean(mu0: float, gain: float, t: int | np.ndarray):
+    """Mean parameter error after t feedback steps (no or unbiased drift)."""
+    _check_gain(gain)
+    return mu0 * (1.0 - 2.0 * gain) ** np.asarray(t)
 
 
 def stationary_variance(gain: float, s: float, step: float = 0.0) -> float:
     """Late-time variance: gain/(4 s^2) plus step^2/(4 gain) under drift."""
+    _check_gain(gain)
     base = gain / (4.0 * s * s)
     if step == 0.0:
         return base
@@ -37,7 +40,7 @@ def stationary_variance(gain: float, s: float, step: float = 0.0) -> float:
 
 
 def predict_variance(sigma0_sq: float, mu0: float, gain: float, s: float,
-                     step: float, t: int | np.ndarray, continuous: bool = False):
+                     step: float, t: int | np.ndarray):
     """Variance of the parameter error after t steps (closed form).
 
     Exact solution of the one-step difference equation, including the
@@ -47,15 +50,13 @@ def predict_variance(sigma0_sq: float, mu0: float, gain: float, s: float,
                 - mu_0^2 [(1-2g)^(2t) - (1-4g)^t]
 
     ``step`` is the random-walk magnitude of the drifting optimum (0 for no
-    drift).  The continuous variant solves the matching differential
-    equation for mu = 0.
+    drift).
     """
+    _check_gain(gain)
     t = np.asarray(t)
     if gain == 0.0:
         return sigma0_sq + step * step * t
     sinf = stationary_variance(gain, s, step)
-    if continuous:
-        return (sigma0_sq - sinf) * np.exp(-4.0 * gain * t) + sinf
     decay = (1.0 - 4.0 * gain) ** t
     mean_term = mu0**2 * ((1.0 - 2.0 * gain) ** (2 * t) - decay)
     return (sigma0_sq - sinf) * decay + sinf - mean_term

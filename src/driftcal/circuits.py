@@ -29,13 +29,15 @@ Noisy execution applies depolarization with probability ``p`` after each
 gate, then a single depolarization with probability ``p_spam`` on all qubits
 immediately before measurement.
 
-Each Jacobian row is the sensitivity of one (circuit, outcome) probability:
-central finite differences of the noiseless outcome distribution at the
-zero-error point, taken with respect to the control parameters (step
-``FD_STEP`` = 1e-5: small enough that printed 3-decimal references are
-reproduced, large enough to stay clear of roundoff).  Rank, condition
-number and pseudoinverse come from one SVD of the Jacobian, taken once when
-it is built, with one cutoff: singular values at or below
+A ``Jacobian`` is its matrix, its rank and its pseudoinverse.  Each row is
+the sensitivity of one (circuit, outcome) probability: central finite
+differences of the noiseless outcome distribution at the zero-error point,
+taken with respect to the control parameters (step ``FD_STEP`` = 1e-5: small
+enough that printed 3-decimal references are reproduced, large enough to
+stay clear of roundoff).  Rows are grouped by circuit, in the order the
+circuits are given, with each circuit's outcomes in increasing binary order.
+Rank and pseudoinverse come from one SVD of the matrix, taken once when it
+is built, with one cutoff: singular values at or below
 max(max(shape) * eps * s[0], 1e-9) count as zero, so the pseudoinverse is
 the one truncated at the rank.
 """
@@ -68,6 +70,8 @@ class Circuit:
     reps: int = 1
 
     def __post_init__(self) -> None:
+        if self.n_qubits < 1:
+            raise ValueError("n_qubits must be >= 1")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         for op in self.ops:
@@ -202,17 +206,12 @@ def run_circuit(circuit: Circuit, family: CircuitFamily, params: ControlParamete
 @dataclass
 class Jacobian:
     matrix: np.ndarray                       # (n_rows, n_params)
-    row_labels: list[tuple[int, str]]        # (circuit index, outcome)
     rank: int
-    condition_number: float
     pinv: np.ndarray                         # (n_params, n_rows), truncated at rank
 
     @property
     def informationally_complete(self) -> bool:
         return self.rank == self.matrix.shape[1]
-
-    def row(self, circuit_index: int, outcome: str) -> np.ndarray:
-        return self.matrix[self.row_labels.index((circuit_index, outcome))]
 
 
 def build_jacobian(circuits: list[Circuit], family: CircuitFamily) -> Jacobian:
@@ -224,28 +223,23 @@ def build_jacobian(circuits: list[Circuit], family: CircuitFamily) -> Jacobian:
     """
     if not circuits:
         raise ValueError("need at least one circuit")
-    rows, labels = [], []
+    blocks = []
     m = family.n_params
-    for ci, circuit in enumerate(circuits):
-        dim = 2**circuit.n_qubits
-        block = np.zeros((dim, m))
+    for circuit in circuits:
+        block = np.zeros((2**circuit.n_qubits, m))
         for j in range(m):
             e = np.zeros(m)
             e[j] = FD_STEP
             hi = exact_distribution(circuit, family, e)
             lo = exact_distribution(circuit, family, -e)
             block[:, j] = (hi - lo) / (2 * FD_STEP)
-        for idx in range(dim):
-            rows.append(block[idx])
-            labels.append((ci, format(idx, f"0{circuit.n_qubits}b")))
-    matrix = np.vstack(rows)
+        blocks.append(block)
+    matrix = np.vstack(blocks)
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     kept = s > max(max(matrix.shape) * np.finfo(float).eps * s[0], 1e-9)
-    rank = int(kept.sum())
-    cond = float(s[0] / s[m - 1]) if rank == m else float("inf")
     inv = np.zeros_like(s)
     inv[kept] = 1.0 / s[kept]
-    return Jacobian(matrix, labels, rank, cond, vt.T @ (inv[:, None] * u.T))
+    return Jacobian(matrix, int(kept.sum()), vt.T @ (inv[:, None] * u.T))
 
 
 def pseudoinverse_estimate(jac: Jacobian, frequencies: np.ndarray) -> np.ndarray:

@@ -73,18 +73,21 @@ class DriftBatch:
     start: np.ndarray                          # (n_traj, m), eta_opt at init
     t: int = 0
     components: np.ndarray | None = None       # (n_traj, m, n_components)
+    decay: np.ndarray | None = None            # (n_components,), exp(-reversion)
+    volatility: np.ndarray | None = None       # (n_components,)
     sub: list["DriftBatch"] = field(default_factory=list)
 
     @classmethod
     def init(cls, spec: DriftSpec, n_traj: int, m: int, eta_opt0: float | np.ndarray = 0.0) -> "DriftBatch":
         eta = np.broadcast_to(eta_opt0, (n_traj, m)).astype(float)
-        comp = None
-        sub = []
+        batch = cls(spec=spec, eta_opt=eta, start=eta.copy())
         if spec.kind == "one_over_f":
-            comp = np.zeros((n_traj, m, spec.n_components))
+            batch.components = np.zeros((n_traj, m, spec.n_components))
+            reversion, batch.volatility = one_over_f_coefficients(spec.n_components)
+            batch.decay = np.exp(-reversion)
         elif spec.kind == "composite":
-            sub = [cls.init(p, n_traj, m, 0.0) for p in spec.parts]
-        return cls(spec=spec, eta_opt=eta, start=eta.copy(), components=comp, sub=sub)
+            batch.sub = [cls.init(p, n_traj, m, 0.0) for p in spec.parts]
+        return batch
 
     def step(self, rng: Generator) -> None:
         spec = self.spec
@@ -100,9 +103,8 @@ class DriftBatch:
             if spec.kind == "jump" and self.t == spec.jump_at:
                 self.eta_opt += spec.jump_size
         elif spec.kind == "one_over_f":
-            rev, vol = one_over_f_coefficients(spec.n_components)
-            self.components *= np.exp(-rev)
-            self.components += vol * rng.standard_normal(self.components.shape)
+            self.components *= self.decay
+            self.components += self.volatility * rng.standard_normal(self.components.shape)
             self.eta_opt[:] = self.start + spec.scale * self.components.sum(axis=2)
         else:  # composite
             self.eta_opt[:] = self.start

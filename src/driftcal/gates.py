@@ -51,12 +51,6 @@ class ControlParameterSet:
         if np.any(self.alpha == 0):
             raise ValueError("alpha entries must be nonzero")
 
-    @classmethod
-    def offsets(cls, delta_eta0: np.ndarray | list[float] | float) -> "ControlParameterSet":
-        """Start with eta_opt = 0 and eta = delta_eta0 (alpha = 1)."""
-        d = np.atleast_1d(np.asarray(delta_eta0, dtype=float))
-        return cls(eta=d.copy(), eta_opt=np.zeros_like(d), alpha=np.ones_like(d))
-
     @property
     def deltas(self) -> np.ndarray:
         """Rotation-angle errors alpha * (eta - eta_opt)."""

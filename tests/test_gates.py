@@ -156,8 +156,6 @@ def test_gx_process_infidelity_depolarizing_floor():
 def test_control_parameter_set_deltas():
     params = ControlParameterSet(eta=[0.5, 0.1], eta_opt=[0.2, 0.1], alpha=[1.0, 2.0])
     assert np.allclose(params.deltas, [0.3, 0.0])
-    offs = ControlParameterSet.offsets(0.3)
-    assert np.allclose(offs.deltas, [0.3])
 
 
 def test_control_parameter_set_validation():
