@@ -74,7 +74,9 @@ def exact_gain_schedule(var_t: float, mean_t: float, s: float) -> float:
     denom = 1.0 - 4.0 * s * s * mean_t * mean_t
     if denom <= 0:
         raise ValueError("gain schedule undefined: 1 - 4 s^2 mu^2 <= 0")
-    return 2.0 * var_t * s * s / denom
+    gain = 2.0 * var_t * s * s / denom
+    _check_gain(gain)
+    return gain
 
 
 def autocorrelation_sum(record, window: int) -> int:
@@ -126,8 +128,8 @@ class TrajectoryRecord:
         if self.t and t <= self.t[-1]:
             raise ValueError("shot index must be strictly increasing")
         self.t.append(t)
-        self.eta.append(np.atleast_1d(np.asarray(eta, dtype=float)).copy())
-        self.eta_opt.append(np.atleast_1d(np.asarray(eta_opt, dtype=float)).copy())
+        self.eta.append(np.array(eta, dtype=float, ndmin=1))
+        self.eta_opt.append(np.array(eta_opt, dtype=float, ndmin=1))
         self.outcome.append(outcome)
         self.gain.append(gain)
         self.reps.append(reps)

@@ -32,6 +32,8 @@ import numpy as np
 from .simcore import pauli_matrix
 
 SQRT2_INV = 1.0 / sqrt(2.0)
+_Z0 = np.array([1.0, 1.0, -1.0, -1.0])  # Z eigenvalue of the left factor per basis index
+_Z1 = np.array([1.0, -1.0, 1.0, -1.0])  # and of the right factor
 
 
 @dataclass
@@ -43,9 +45,9 @@ class ControlParameterSet:
     alpha: np.ndarray
 
     def __post_init__(self) -> None:
-        self.eta = np.atleast_1d(np.asarray(self.eta, dtype=float)).copy()
-        self.eta_opt = np.atleast_1d(np.asarray(self.eta_opt, dtype=float)).copy()
-        self.alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float)).copy()
+        self.eta = np.array(self.eta, dtype=float, ndmin=1)
+        self.eta_opt = np.array(self.eta_opt, dtype=float, ndmin=1)
+        self.alpha = np.array(self.alpha, dtype=float, ndmin=1)
         if not (len(self.eta) == len(self.eta_opt) == len(self.alpha)):
             raise ValueError("eta, eta_opt, alpha must have equal lengths")
         if np.any(self.alpha == 0):
@@ -76,11 +78,8 @@ def hadamard() -> np.ndarray:
 
 def cz(zi: float = 0.0, iz: float = 0.0, zz: float = 0.0) -> np.ndarray:
     """Diagonal controlled-phase gate with three tunable phase errors."""
-    z = np.array([1.0, -1.0])
-    z0 = np.repeat(z, 2)  # left factor eigenvalues per basis index
-    z1 = np.tile(z, 2)
     phase = 0.5 * (
-        pi / 2 + (pi / 2 + zz) * z0 * z1 - (pi / 2 + iz) * z1 - (pi / 2 + zi) * z0
+        pi / 2 + (pi / 2 + zz) * _Z0 * _Z1 - (pi / 2 + iz) * _Z1 - (pi / 2 + zi) * _Z0
     )
     return np.diag(np.exp(1j * phase))
 

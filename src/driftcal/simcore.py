@@ -16,7 +16,9 @@ Conventions, fixed once here and relied on everywhere else:
 - Global phase is ignored; state equality is tested via |<psi|phi>|.
 
 All operations are pure functions of (state, rng); callers own their states
-and rng streams, so trajectories can run fully in parallel.
+and rng streams, so trajectories can run fully in parallel.  Every call checks
+its input (state length, targets, gate dimension, norm).  The kernel makes no
+LAPACK call and composes no gates: each gate is one matrix-by-state product.
 """
 from __future__ import annotations
 
@@ -51,36 +53,29 @@ def zero_state(n_qubits: int) -> np.ndarray:
 
 
 def num_qubits(state: np.ndarray) -> int:
-    n = int(np.log2(len(state)))
-    if 2**n != len(state):
+    n = len(state).bit_length() - 1
+    if n < 0 or 1 << n != len(state):
         raise ValueError("state length is not a power of two")
     return n
-
-
-def _check_normalized(state: np.ndarray) -> None:
-    norm2 = float(np.vdot(state, state).real)
-    if abs(norm2 - 1.0) > 1e-9:
-        raise ValueError(f"state is not normalized: |psi|^2 = {norm2}")
 
 
 def apply_unitary(state: np.ndarray, u: np.ndarray, targets: list[int] | tuple[int, ...]) -> np.ndarray:
     """Apply ``u`` to ``targets`` (identity elsewhere); returns a new state."""
     n = num_qubits(state)
-    targets = list(targets)
+    targets = tuple(targets)
     if len(set(targets)) != len(targets):
         raise ValueError("targets must be distinct")
     if any(t < 0 or t >= n for t in targets):
         raise IndexError(f"target out of range for {n} qubits: {targets}")
     k = len(targets)
-    if u.shape != (2**k, 2**k):
+    if u.shape != (1 << k, 1 << k):
         raise ValueError(f"unitary dim {u.shape} does not match {k} targets")
-    psi = state.reshape([2] * n)
-    rest = [ax for ax in range(n) if ax not in targets]
-    psi = psi.transpose(targets + rest).reshape(2**k, -1)
-    psi = u @ psi
-    psi = psi.reshape([2] * n)
-    inv = np.argsort(targets + rest)
-    return psi.transpose(inv).reshape(-1)
+    shape = (2,) * n
+    order = targets + tuple(ax for ax in range(n) if ax not in targets)
+    psi = u @ state.reshape(shape).transpose(order).reshape(1 << k, -1)
+    out = np.empty(len(state), psi.dtype)  # psi's dtype: a real state times a complex u is complex
+    out.reshape(shape).transpose(order)[...] = psi.reshape(shape)
+    return out
 
 
 def apply_depolarizing(state: np.ndarray, p: float, targets: list[int] | tuple[int, ...], rng: Generator) -> np.ndarray:
@@ -100,15 +95,17 @@ def apply_depolarizing(state: np.ndarray, p: float, targets: list[int] | tuple[i
 
 def outcome_distribution(state: np.ndarray) -> np.ndarray:
     """Exact Born probabilities over all ``2**n`` outcomes."""
-    _check_normalized(state)
     probs = np.abs(state) ** 2
-    return probs / probs.sum()
+    norm2 = probs.sum()
+    if not abs(norm2 - 1.0) <= 1e-9:  # NaN fails too
+        raise ValueError(f"state is not normalized: |psi|^2 = {norm2}")
+    return probs / norm2
 
 
 def measure_computational(state: np.ndarray, rng: Generator) -> str:
     """Sample one terminal computational-basis measurement outcome."""
     probs = outcome_distribution(state)
-    idx = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+    idx = int(probs.cumsum().searchsorted(rng.random(), side="right"))
     idx = min(idx, len(probs) - 1)
     return format(idx, f"0{num_qubits(state)}b")
 

@@ -101,6 +101,13 @@ def test_exact_gain_schedule_values():
         exact_gain_schedule(0.01, 1.0, 0.5)
 
 
+def test_exact_gain_schedule_rejects_gains_outside_the_closed_forms():
+    """A large variance asks for a gain the closed forms cannot use."""
+    for var_t, mean_t, s in ((1.0, 0.0, 0.5), (0.3, 0.0, 1.0), (-0.1, 0.0, 0.5)):
+        with pytest.raises(ValueError, match="gain"):
+            exact_gain_schedule(var_t, mean_t, s)
+
+
 # =============================================================================
 # record helpers
 # =============================================================================
@@ -165,3 +172,11 @@ def test_trajectory_record_rows_and_ordering():
     assert rows[1][4] == "0.2"  # delta field
     with pytest.raises(ValueError):
         rec.append(1, [0.2], [0.0], "0", 0.05, 1, 0.0)
+
+
+def test_trajectory_record_keeps_copies_of_its_parameter_vectors():
+    rec = TrajectoryRecord(index=0)
+    eta, eta_opt = np.array([0.1, 0.2]), np.float64(0.3)
+    rec.append(0, eta, eta_opt, "0", 0.05, 1, 0.0)
+    eta[0] = 9.0
+    assert rec.eta[0].tolist() == [0.1, 0.2] and rec.eta_opt[0].tolist() == [0.3]

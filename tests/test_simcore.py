@@ -1,6 +1,8 @@
 """Statevector kernel tests: gate application, noise unraveling, measurement."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import density_from_state, depolarize_density, embed_unitary, expm_gate, overlap, stream
 from driftcal.gates import cz, gx
@@ -10,6 +12,7 @@ from driftcal.simcore import (
     apply_unitary,
     bit_to_z,
     measure_computational,
+    num_qubits,
     outcome_distribution,
     pauli_matrix,
     zero_state,
@@ -66,6 +69,43 @@ def test_apply_unitary_rejects_bad_inputs():
         apply_unitary(state, np.eye(4), [0, 0])
 
 
+def test_apply_unitary_rejects_negative_target():
+    with pytest.raises(IndexError):
+        apply_unitary(zero_state(2), np.eye(2), [-1])
+
+
+def test_apply_unitary_with_no_targets_scales_by_the_1x1_u(rng):
+    state = rng.normal(size=4) + 1j * rng.normal(size=4)
+    for phase in (-1.0, 1j):
+        assert np.array_equal(apply_unitary(state, np.array([[phase]]), ()), phase * state)
+
+
+def test_apply_unitary_result_takes_the_dtype_of_u_times_state():
+    """A real state under a complex gate keeps its imaginary part."""
+    out = apply_unitary(np.array([1.0, 0.0]), gx(0.2), [0])
+    assert np.array_equal(out, gx(0.2)[:, 0])
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), seed=st.integers(min_value=0))
+def test_apply_unitary_matches_dense_embedding_for_any_target_order(data, n, seed):
+    targets = data.draw(st.permutations(range(n)).flatmap(
+        lambda perm: st.integers(1, n).map(lambda k: list(perm[:k]))))
+    gen = np.random.default_rng(seed)
+    state = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
+    state /= np.linalg.norm(state)
+    dim = 2 ** len(targets)
+    u = expm_gate(gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim)))
+    expected = embed_unitary(u, targets, n) @ state
+    assert np.allclose(apply_unitary(state, u, targets), expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("length", [0, 3, 6])
+def test_num_qubits_rejects_lengths_that_are_not_powers_of_two(length):
+    with pytest.raises(ValueError, match="power of two"):
+        num_qubits(np.zeros(length, dtype=complex))
+
+
 def test_norm_preserved_over_many_ops(rng):
     state = zero_state(3)
     for _ in range(10_000):
@@ -83,6 +123,22 @@ def test_depolarizing_zero_probability_is_identity(rng):
     state = apply_unitary(zero_state(1), gx(0.3), [0])
     out = apply_depolarizing(state, 0.0, [0], rng)
     assert np.array_equal(out, state)
+
+
+class _IdentityDraw:
+    """An rng whose first draw fires the channel and whose second picks the identity."""
+
+    def random(self):
+        return 0.0
+
+    def integers(self, high):
+        return 0
+
+
+def test_depolarizing_returns_the_input_object_when_nothing_is_applied(rng):
+    state = apply_unitary(zero_state(2), gx(0.3), [1])
+    assert apply_depolarizing(state, 0.0, [0], rng) is state
+    assert apply_depolarizing(state, 1.0, [0, 1], _IdentityDraw()) is state
 
 
 def test_depolarizing_rejects_bad_probability(rng):
@@ -178,6 +234,16 @@ def test_sampling_matches_distribution_self_consistency():
 def test_measurement_requires_normalized_state(rng):
     with pytest.raises(ValueError):
         measure_computational(2.0 * zero_state(1), rng)
+
+
+def test_outcome_distribution_rejects_unnormalized_state():
+    with pytest.raises(ValueError, match="not normalized"):
+        outcome_distribution(2 * zero_state(1))
+    with pytest.raises(ValueError, match="not normalized"):
+        outcome_distribution(np.sqrt(1 + 2e-9) * zero_state(1))
+    with pytest.raises(ValueError, match="not normalized"):
+        outcome_distribution(np.array([np.nan, 0.0], dtype=complex))
+    assert np.array_equal(outcome_distribution(np.sqrt(1 + 5e-10) * zero_state(1)), [1.0, 0.0])
 
 
 def test_bit_to_z_convention():
