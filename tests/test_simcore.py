@@ -65,13 +65,10 @@ def test_apply_unitary_rejects_bad_inputs():
         apply_unitary(state, np.eye(2), [0, 1])
     with pytest.raises(IndexError):
         apply_unitary(state, np.eye(2), [2])
+    with pytest.raises(IndexError):
+        apply_unitary(state, np.eye(2), [-1])
     with pytest.raises(ValueError):
         apply_unitary(state, np.eye(4), [0, 0])
-
-
-def test_apply_unitary_rejects_negative_target():
-    with pytest.raises(IndexError):
-        apply_unitary(zero_state(2), np.eye(2), [-1])
 
 
 def test_apply_unitary_with_no_targets_scales_by_the_1x1_u(rng):
