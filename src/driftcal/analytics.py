@@ -66,6 +66,7 @@ def optimal_gain(step: float, s: float) -> float:
     """Gain minimizing the drifted stationary variance: step * s."""
     if step < 0 or s <= 0:
         raise ValueError("step must be >= 0 and s > 0")
+    _check_gain(step * s)
     return step * s
 
 
@@ -81,9 +82,10 @@ def exact_gain_schedule(var_t: float, mean_t: float, s: float) -> float:
 
 def autocorrelation_sum(record, window: int) -> int:
     """Lag-1 autocorrelation sum over the last ``window`` entries of a +/-1 record."""
-    rec = np.asarray(record)[-window:]
-    if len(rec) < window:
-        raise ValueError("record shorter than window")
+    rec = np.asarray(record)
+    if not 1 <= window <= len(rec):
+        raise ValueError("window must lie in [1, len(record)]")
+    rec = rec[-window:]
     return int(np.sum(rec[1:] * rec[:-1]))
 
 
@@ -153,19 +155,21 @@ def summarize(values: np.ndarray) -> dict:
     if vals.ndim != 2 or vals.shape[0] < 1:
         raise ValueError("need an (n_traj, n_steps) array with at least one trajectory")
     traj_means = vals.mean(axis=1)
-    q1, q3 = np.percentile(traj_means, [25, 75])
+    scalar = summarize_scalar(traj_means)
     return {
         "per_shot_mean": vals.mean(axis=0).tolist(),
         "per_shot_sd": vals.std(axis=0, ddof=0).tolist(),
         "trajectory_means": traj_means.tolist(),
-        "median_trajectory_mean": float(np.median(traj_means)),
-        "iqr_trajectory_mean": float(q3 - q1),
+        "median_trajectory_mean": scalar["median"],
+        "iqr_trajectory_mean": scalar["iqr"],
     }
 
 
 def summarize_scalar(values: np.ndarray) -> dict:
     """Median/IQR/mean/sd of a per-trajectory scalar (e.g. experiment means)."""
     vals = np.asarray(values, dtype=float)
+    if vals.size == 0:
+        raise ValueError("need at least one value")
     q1, q3 = np.percentile(vals, [25, 75])
     return {
         "median": float(np.median(vals)),

@@ -1,4 +1,4 @@
-"""Circuit representation, noisy execution, and the finite-difference Jacobian.
+"""Circuit representation, noisy execution, and the exact Jacobian.
 
 A ``Circuit`` stores its gate sequence in execution order (first-applied
 first) and a whole-sequence repetition count.  Circuits start from |0...0>
@@ -30,16 +30,19 @@ gate, then a single depolarization with probability ``p_spam`` on all qubits
 immediately before measurement.
 
 A ``Jacobian`` is its matrix, its rank and its pseudoinverse.  Each row is
-the sensitivity of one (circuit, outcome) probability: central finite
-differences of the noiseless outcome distribution at the zero-error point,
-taken with respect to the control parameters (step ``FD_STEP`` = 1e-5: small
-enough that printed 3-decimal references are reproduced, large enough to
-stay clear of roundoff).  Rows are grouped by circuit, in the order the
-circuits are given, with each circuit's outcomes in increasing binary order.
-Rank and pseudoinverse come from one SVD of the matrix, taken once when it
-is built, with one cutoff: singular values at or below
+the exact sensitivity of one (circuit, outcome) probability to the control
+parameters at zero error, from one noiseless pass per circuit that carries
+psi and its tangents dpsi_j: per op, dpsi_j <- U dpsi_j + dU_j psi, then
+psi <- U psi; the row entries are 2 Re(conj(psi) dpsi_j).  Each gate's dU_j
+comes from its own builder by the two-shift parameter-shift rule
+dU_j = [U(pi/2 e_j) - U(-pi/2 e_j)]/2 + (1 - sqrt 2)/4 [U(pi e_j) - U(-pi e_j)],
+exact for entries with only frequencies 0, 1/2 and 1 in each error, as in
+every gate above.  Rows are grouped by circuit, in the order given, outcomes
+in increasing binary order.  Rank and pseudoinverse come from one SVD, taken
+once, with one cutoff: singular values at or below
 max(max(shape) * eps * s[0], 1e-9) count as zero, so the pseudoinverse is
-the one truncated at the rank.
+truncated at the rank.  The 1e-9 floor serves definite-outcome sets, whose
+Jacobian is exactly zero and whose singular values are all roundoff.
 """
 from __future__ import annotations
 
@@ -53,8 +56,6 @@ from numpy.random import Generator
 from . import gates
 from .gates import ControlParameterSet
 from .simcore import apply_depolarizing, apply_unitary, measure_computational, outcome_distribution, zero_state
-
-FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -223,17 +224,23 @@ def build_jacobian(circuits: list[Circuit], family: CircuitFamily) -> Jacobian:
     """
     if not circuits:
         raise ValueError("need at least one circuit")
-    blocks = []
     m = family.n_params
+    built = {}  # gate name -> (U, [dU_j]) at zero error, dU_j by the two-shift rule
+    for name in dict.fromkeys(n for c in circuits for n in c.gate_names):
+        shifted = [[family.gate_unitary(name, a * e) for a in (np.pi / 2, -np.pi / 2, np.pi, -np.pi)]
+                   for e in np.eye(m)]
+        built[name] = (family.gate_unitary(name, np.zeros(m)),
+                       [(u1 - u2) / 2 + (1 - np.sqrt(2)) / 4 * (u3 - u4) for u1, u2, u3, u4 in shifted])
+    blocks = []
     for circuit in circuits:
-        block = np.zeros((2**circuit.n_qubits, m))
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = FD_STEP
-            hi = exact_distribution(circuit, family, e)
-            lo = exact_distribution(circuit, family, -e)
-            block[:, j] = (hi - lo) / (2 * FD_STEP)
-        blocks.append(block)
+        psi = zero_state(circuit.n_qubits)
+        dpsi = [np.zeros_like(psi)] * m
+        for op in circuit.ops * circuit.reps:
+            u, du = built[op.name]
+            dpsi = [apply_unitary(d, u, op.targets) + apply_unitary(psi, dj, op.targets)
+                    for d, dj in zip(dpsi, du)]
+            psi = apply_unitary(psi, u, op.targets)
+        blocks.append(2 * (psi.conj() * np.array(dpsi)).real.T)
     matrix = np.vstack(blocks)
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     kept = s > max(max(matrix.shape) * np.finfo(float).eps * s[0], 1e-9)

@@ -90,6 +90,8 @@ def test_optimal_gain_values():
     assert optimal_gain(0.0, 1.0) == 0.0
     with pytest.raises(ValueError):
         optimal_gain(0.001, 0.0)
+    with pytest.raises(ValueError):
+        optimal_gain(0.1, 10.0)
 
 
 def test_exact_gain_schedule_values():
@@ -119,6 +121,10 @@ def test_autocorrelation_constant_and_alternating():
     assert autocorrelation_sum(alt, 100) == -99
     with pytest.raises(ValueError):
         autocorrelation_sum(np.ones(5), 10)
+    with pytest.raises(ValueError):
+        autocorrelation_sum([1, 1, 1, 1], 0)
+    with pytest.raises(ValueError):
+        autocorrelation_sum([1] * 5, -2)
 
 
 def test_autocorrelation_iid_statistics():
@@ -161,6 +167,8 @@ def test_summarize_scalar():
     out = summarize_scalar(np.array([1.0, 2.0, 3.0, 4.0]))
     assert out["median"] == pytest.approx(2.5)
     assert out["n"] == 4
+    with pytest.raises(ValueError):
+        summarize_scalar(np.array([]))
 
 
 def test_trajectory_record_rows_and_ordering():

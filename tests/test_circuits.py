@@ -24,9 +24,9 @@ from driftcal.circuits import (
 )
 from driftcal.gates import ControlParameterSet
 
-# Published reference matrices, reproduced to 3 decimals by the
-# finite-difference Jacobian: rows grouped by circuit, outcomes in increasing
-# binary order; CZ_RAW_X4 is four times the cz Jacobian.
+# Published reference matrices, which the exact Jacobian reproduces to
+# roundoff: rows grouped by circuit, outcomes in increasing binary order;
+# CZ_RAW_X4 is four times the cz Jacobian.
 GXGY_RAW = np.array([[0.5, -1.0], [-0.5, 1.0], [-1.5, 1.0], [1.5, -1.0]])
 CZ_RAW_X4 = np.array([
     [0, -1, 1], [0, 1, -1], [0, -1, -1], [0, 1, 1],
@@ -168,17 +168,17 @@ def test_single_parameter_sensitivity_closed_form():
     """s_z = -z * alpha * r / 2; outcome "0" (z=+1) at r=1 gives -0.5."""
     fam = gx_family(1)
     row = build_jacobian(fam.circuits, fam).matrix[0]
-    assert row[0] == pytest.approx(-0.5, abs=1e-6)
+    assert row[0] == pytest.approx(-0.5, abs=1e-12)
     for reps in (5, 13):
         fam_r = gx_family(reps)
         row = build_jacobian(fam_r.circuits, fam_r).matrix[0]
-        assert row[0] == pytest.approx(-reps / 2, rel=1e-6)
+        assert row[0] == pytest.approx(-reps / 2, abs=1e-12)
 
 
 def test_gxgy_jacobian_values():
     fam = gxgy_family(1)
     jac = build_jacobian(fam.circuits, fam)
-    assert np.allclose(jac.matrix, GXGY_RAW, atol=5e-6)
+    assert np.allclose(jac.matrix, GXGY_RAW, rtol=0, atol=1e-12)
     assert jac.rank == 2
     assert jac.informationally_complete
 
@@ -186,20 +186,59 @@ def test_gxgy_jacobian_values():
 def test_cz_jacobian_values():
     fam = cz_family(1)
     jac = build_jacobian(fam.circuits, fam)
-    assert np.allclose(4 * jac.matrix, CZ_RAW_X4, atol=2e-5)
+    assert np.allclose(4 * jac.matrix, CZ_RAW_X4, rtol=0, atol=1e-12)
     assert jac.rank == 3
-    assert np.linalg.cond(jac.matrix) == pytest.approx(np.sqrt(2), rel=1e-6)
+    assert np.linalg.cond(jac.matrix) == pytest.approx(np.sqrt(2), rel=1e-12)
+
+
+def _assert_columns_sum_to_zero(fam):
+    jac = build_jacobian(fam.circuits, fam)
+    start = 0
+    for circuit in fam.circuits:
+        dim = 2**circuit.n_qubits
+        block = jac.matrix[start:start + dim]
+        assert np.all(np.abs(block.sum(axis=0)) < 1e-12)
+        start += dim
 
 
 def test_jacobian_columns_sum_to_zero_per_circuit():
     for fam in (gxgy_family(1), cz_family(1), gx_family(5)):
-        jac = build_jacobian(fam.circuits, fam)
-        start = 0
-        for circuit in fam.circuits:
-            dim = 2**circuit.n_qubits
-            block = jac.matrix[start:start + dim]
-            assert np.all(np.abs(block.sum(axis=0)) < 1e-8)
-            start += dim
+        _assert_columns_sum_to_zero(fam)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(reps=st.integers(1, 21))
+def test_jacobian_columns_sum_to_zero_at_any_reps(reps):
+    """Probability conservation holds to roundoff for every built-in family."""
+    for fam in (gx_family(reps), gxgy_family(reps), cz_family(reps)):
+        _assert_columns_sum_to_zero(fam)
+
+
+def test_probe_set_ranks_are_exact_over_reps():
+    """Every built-in probe set at reps 1-21, whole and first circuit alone.
+
+    Definite-outcome sets have an exactly zero Jacobian, and sets that lose
+    a direction lose it exactly, so no spurious singular value survives the
+    cutoff and every pseudoinverse entry stays small.
+    """
+    jacs = {}
+    for make in (gx_family, gxgy_family, cz_family):
+        for reps in range(1, 22):
+            fam = make(reps)
+            for label, circuits in (("all", fam.circuits), ("first", fam.circuits[:1])):
+                jac = build_jacobian(circuits, fam)
+                assert np.abs(jac.pinv).max() < 2
+                jacs[fam.name, reps, label] = jac
+    assert all(jacs["gx", r, "all"].rank == r % 2 for r in range(1, 22))
+    for reps in (2, 4):
+        assert jacs["gxgy", reps, "all"].rank == 0
+        with pytest.raises(ValueError):
+            pseudoinverse_estimate(jacs["gxgy", reps, "all"], np.full(4, 0.5))
+    assert jacs["cz", 5, "all"].rank == 0
+    assert jacs["cz", 8, "all"].rank == 2
+    assert jacs["cz", 7, "first"].rank == 1
+    assert jacs["cz", 1, "all"].rank == 3
+    assert jacs["gxgy", 1, "all"].rank == 2
 
 
 def test_duplicated_circuit_does_not_change_rank():
@@ -217,7 +256,7 @@ def test_rank_deficiency_flagged():
     cz_solo = build_jacobian(cz.circuits[:1], cz)
     assert cz_solo.rank == 2
     for jac in (solo, cz_solo):
-        # the pseudoinverse is truncated at the rank, not at finite-difference noise
+        # the pseudoinverse is truncated at the rank, not at roundoff
         proj = jac.pinv @ jac.matrix
         assert np.allclose(proj @ proj, proj, atol=1e-9)
         assert np.allclose(proj, proj.T, atol=1e-9)
@@ -256,7 +295,7 @@ def test_pseudoinverse_one_hot_regression():
     jac = build_jacobian(fam.circuits, fam)
     onehot = np.zeros(4)
     onehot[0] = 1.0
-    assert np.allclose(pseudoinverse_estimate(jac, onehot), [-0.5, -0.75], atol=1e-5)
+    assert np.allclose(pseudoinverse_estimate(jac, onehot), [-0.5, -0.75], rtol=0, atol=1e-12)
 
 
 def test_pseudoinverse_length_check():
