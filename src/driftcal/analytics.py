@@ -31,6 +31,8 @@ def predict_mean(mu0: float, gain: float, t: int | np.ndarray):
 def stationary_variance(gain: float, s: float, step: float = 0.0) -> float:
     """Late-time variance: gain/(4 s^2) plus step^2/(4 gain) under drift."""
     _check_gain(gain)
+    if s <= 0:
+        raise ValueError("s must be > 0")
     base = gain / (4.0 * s * s)
     if step == 0.0:
         return base
@@ -53,6 +55,8 @@ def predict_variance(sigma0_sq: float, mu0: float, gain: float, s: float,
     drift).
     """
     _check_gain(gain)
+    if s <= 0:
+        raise ValueError("s must be > 0")
     t = np.asarray(t)
     if gain == 0.0:
         return sigma0_sq + step * step * t
@@ -152,8 +156,8 @@ class TrajectoryRecord:
 def summarize(values: np.ndarray) -> dict:
     """Ensemble statistics for an (n_traj, n_steps) array of a per-shot quantity."""
     vals = np.asarray(values, dtype=float)
-    if vals.ndim != 2 or vals.shape[0] < 1:
-        raise ValueError("need an (n_traj, n_steps) array with at least one trajectory")
+    if vals.ndim != 2 or vals.size == 0:
+        raise ValueError("need an (n_traj, n_steps) array with at least one trajectory and one step")
     traj_means = vals.mean(axis=1)
     scalar = summarize_scalar(traj_means)
     return {

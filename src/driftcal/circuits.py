@@ -33,8 +33,10 @@ A ``Jacobian`` is its matrix, its rank and its pseudoinverse.  Each row is
 the exact sensitivity of one (circuit, outcome) probability to the control
 parameters at zero error, from one noiseless pass per circuit that carries
 psi and its tangents dpsi_j: per op, dpsi_j <- U dpsi_j + dU_j psi, then
-psi <- U psi; the row entries are 2 Re(conj(psi) dpsi_j).  Each gate's dU_j
-comes from its own builder by the two-shift parameter-shift rule
+psi <- U psi, with the dU_j psi term skipped where dU_j is exactly zero, as
+for a gate that does not read d_j; the row entries are 2 Re(conj(psi)
+dpsi_j).  Each gate's dU_j comes from its own builder by the two-shift
+parameter-shift rule
 dU_j = [U(pi/2 e_j) - U(-pi/2 e_j)]/2 + (1 - sqrt 2)/4 [U(pi e_j) - U(-pi e_j)],
 exact for entries with only frequencies 0, 1/2 and 1 in each error, as in
 every gate above.  Rows are grouped by circuit, in the order given, outcomes
@@ -237,8 +239,8 @@ def build_jacobian(circuits: list[Circuit], family: CircuitFamily) -> Jacobian:
         dpsi = [np.zeros_like(psi)] * m
         for op in circuit.ops * circuit.reps:
             u, du = built[op.name]
-            dpsi = [apply_unitary(d, u, op.targets) + apply_unitary(psi, dj, op.targets)
-                    for d, dj in zip(dpsi, du)]
+            dpsi = [apply_unitary(d, u, op.targets) for d in dpsi]
+            dpsi = [d + apply_unitary(psi, dj, op.targets) if dj.any() else d for d, dj in zip(dpsi, du)]
             psi = apply_unitary(psi, u, op.targets)
         blocks.append(2 * (psi.conj() * np.array(dpsi)).real.T)
     matrix = np.vstack(blocks)

@@ -4,22 +4,21 @@ The optimum stays fixed during a shot and advances once per shot.  Each
 control parameter drifts independently.  ``DriftBatch`` holds the optima of
 an (n_traj, m) ensemble and advances them in lockstep, in place, drawing
 from one ensemble stream; a single trajectory is the ensemble with
-n_traj = 1.
+n_traj = 1.  Every process moves eta_opt = start + offset, the offset zero
+at init, so it drifts about its own start, alone or in a composite:
 
-Supported processes:
-
-- ``random_walk``: eta_opt += q * step with q = +/-1 equiprobable.
-- ``ornstein_uhlenbeck``: eta_opt <- eta_opt * exp(-reversion) +
-  volatility * eps, eps ~ N(0, 1).  Stationary variance is
-  volatility^2 / (1 - exp(-2 * reversion)).
-- ``jump``: the Ornstein-Uhlenbeck process plus a one-time shift of
-  ``jump_size`` at shot ``jump_at``.
-- ``one_over_f``: the start plus scale * sum of ``n_components``
-  independent OU components with reversion[i] = 10 * (1/4)**i and
-  volatility[i] = 2**i * (1 - exp(-2 * reversion[i])), i = 1..n;
-  octave-spaced correlation times give an approximately 1/f spectrum.
+- ``random_walk``: offset += q * step with q = +/-1 equiprobable.
+- ``one_over_f``: offset = scale * the sum of ``n_components`` independent
+  Ornstein-Uhlenbeck components, c <- c * exp(-reversion[i]) + volatility[i]
+  * eps with eps ~ N(0, 1), reversion[i] = 10 * (1/4)**i and volatility[i] =
+  2**i * (1 - exp(-2 * reversion[i])), i = 1..n; octave-spaced correlation
+  times give an approximately 1/f spectrum.
+- ``ornstein_uhlenbeck``: one component with the spec's coefficients, scale
+  1; stationary variance volatility^2 / (1 - exp(-2 * reversion)).
+- ``jump``: the OU process with ``jump_size`` added to its component at
+  shot ``jump_at``, so the jump decays at the OU rate.
 - ``composite``: the start plus the sum of independent sub-processes.
-- ``none``: frozen optimum.
+- ``none``: the bank with no components; a frozen optimum.
 """
 from __future__ import annotations
 
@@ -56,7 +55,7 @@ class DriftSpec:
             raise ValueError("composite drift needs at least one part")
 
 
-def one_over_f_coefficients(n_components: int = 7) -> tuple[np.ndarray, np.ndarray]:
+def one_over_f_coefficients(n_components: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-component (reversion, volatility) arrays for the 1/f construction."""
     i = np.arange(1, n_components + 1, dtype=float)
     reversion = 10.0 * 0.25**i
@@ -72,42 +71,42 @@ class DriftBatch:
     eta_opt: np.ndarray                        # (n_traj, m)
     start: np.ndarray                          # (n_traj, m), eta_opt at init
     t: int = 0
-    components: np.ndarray | None = None       # (n_traj, m, n_components)
-    decay: np.ndarray | None = None            # (n_components,), exp(-reversion)
-    volatility: np.ndarray | None = None       # (n_components,)
+    components: np.ndarray | None = None       # (n_traj, m, k), the k OU components
+    decay: np.ndarray | None = None            # (k,), exp(-reversion)
+    volatility: np.ndarray | None = None       # (k,)
     sub: list["DriftBatch"] = field(default_factory=list)
 
     @classmethod
     def init(cls, spec: DriftSpec, n_traj: int, m: int, eta_opt0: float | np.ndarray = 0.0) -> "DriftBatch":
+        if n_traj < 1 or m < 1:
+            raise ValueError("need n_traj >= 1 and m >= 1")
         eta = np.broadcast_to(eta_opt0, (n_traj, m)).astype(float)
         batch = cls(spec=spec, eta_opt=eta, start=eta.copy())
-        if spec.kind == "one_over_f":
-            batch.components = np.zeros((n_traj, m, spec.n_components))
-            reversion, batch.volatility = one_over_f_coefficients(spec.n_components)
-            batch.decay = np.exp(-reversion)
-        elif spec.kind == "composite":
+        if spec.kind == "composite":
             batch.sub = [cls.init(p, n_traj, m, 0.0) for p in spec.parts]
+        elif spec.kind != "random_walk":  # the OU bank: one component for OU and jump, none for none
+            k = int(spec.kind != "none")
+            reversion, batch.volatility = np.full(k, spec.reversion), np.full(k, spec.volatility)
+            if spec.kind == "one_over_f":
+                reversion, batch.volatility = one_over_f_coefficients(spec.n_components)
+            batch.components = np.zeros((n_traj, m, len(reversion)))
+            batch.decay = np.exp(-reversion)
         return batch
 
     def step(self, rng: Generator) -> None:
         spec = self.spec
         self.t += 1
-        if spec.kind == "none":
-            return
-        shape = self.eta_opt.shape
         if spec.kind == "random_walk":
-            self.eta_opt += spec.step * (rng.integers(0, 2, size=shape) * 2 - 1)
-        elif spec.kind in ("ornstein_uhlenbeck", "jump"):
-            self.eta_opt *= np.exp(-spec.reversion)
-            self.eta_opt += spec.volatility * rng.standard_normal(shape)
-            if spec.kind == "jump" and self.t == spec.jump_at:
-                self.eta_opt += spec.jump_size
-        elif spec.kind == "one_over_f":
-            self.components *= self.decay
-            self.components += self.volatility * rng.standard_normal(self.components.shape)
-            self.eta_opt[:] = self.start + spec.scale * self.components.sum(axis=2)
-        else:  # composite
+            self.eta_opt += spec.step * (rng.integers(0, 2, size=self.eta_opt.shape) * 2 - 1)
+        elif spec.kind == "composite":
             self.eta_opt[:] = self.start
             for sb in self.sub:
                 sb.step(rng)
                 self.eta_opt += sb.eta_opt
+        else:  # the OU component bank
+            self.components *= self.decay
+            self.components += self.volatility * rng.standard_normal(self.components.shape)
+            if spec.kind == "jump" and self.t == spec.jump_at:
+                self.components += spec.jump_size
+            scale = spec.scale if spec.kind == "one_over_f" else 1.0
+            self.eta_opt[:] = self.start + scale * self.components.sum(axis=2)

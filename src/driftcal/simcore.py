@@ -112,4 +112,6 @@ def measure_computational(state: np.ndarray, rng: Generator) -> str:
 
 def bit_to_z(bit: int | str) -> int:
     """Measured bit -> sigma-z eigenvalue (0 -> +1, 1 -> -1)."""
+    if bit not in (0, 1, "0", "1"):
+        raise ValueError(f"not a single bit: {bit!r}")
     return 1 - 2 * int(bit)

@@ -68,6 +68,12 @@ def test_variance_closed_forms_reject_bad_gain():
             stationary_variance(bad, 0.5)
         with pytest.raises(ValueError, match="gain"):
             predict_variance(0.01, 0.0, bad, 0.5, 0.0, 40)
+    for bad_s in (0.0, -0.5):
+        with pytest.raises(ValueError, match="s must"):
+            stationary_variance(0.1, bad_s)
+        for gain in (0.0, 0.1):
+            with pytest.raises(ValueError, match="s must"):
+                predict_variance(0.01, 0.0, gain, bad_s, 0.0, 40)
 
 
 def test_variance_zero_gain_accumulates_drift():
@@ -153,6 +159,9 @@ def test_summarize_constant_trajectory():
     out = summarize(np.full((1, 10), 0.7))
     assert out["per_shot_sd"] == [0.0] * 10
     assert out["median_trajectory_mean"] == pytest.approx(0.7)
+    for empty in (np.zeros((2, 0)), np.zeros((0, 3)), np.zeros(3)):
+        with pytest.raises(ValueError):
+            summarize(empty)
 
 
 def test_summarize_symmetric_pair():

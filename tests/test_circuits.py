@@ -12,6 +12,7 @@ from driftcal.circuits import (
     CircuitFamily,
     GateOp,
     NoiseParams,
+    apply_unitary,
     build_jacobian,
     cz_circuits,
     cz_family,
@@ -330,6 +331,21 @@ def test_pseudoinverse_is_computed_once(monkeypatch):
     assert first.shape == (3, 5)
     assert np.array_equal(first, real_pinv(jac.matrix) @ freqs)
     assert np.array_equal(second, first)
+
+
+def test_jacobian_skips_exactly_zero_tangents(monkeypatch):
+    """cz's h and gx0 ops read no error, so each of their dU_j is exactly zero
+    and adds no dU_j psi term: 41 apply_unitary calls per circuit, not 56."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return apply_unitary(*args)
+
+    monkeypatch.setattr("driftcal.circuits.apply_unitary", counting)
+    fam = cz_family(1)
+    build_jacobian(fam.circuits, fam)
+    assert len(calls) == 82
 
 
 def test_pseudoinverse_checks_on_cz_columns():

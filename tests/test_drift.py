@@ -23,9 +23,10 @@ def test_none_kind_is_frozen(rng):
 
 
 def test_every_kind_keeps_its_start_when_motionless(rng):
-    """With zero motion every kind holds eta_opt exactly at its start."""
+    """With zero motion every kind holds eta_opt exactly at its start, even
+    where it reverts: an OU process reverts to its start."""
     walk = DriftSpec(kind="random_walk", step=0.0)
-    still = dict(reversion=0.0, volatility=0.0, jump_at=100)
+    still = dict(reversion=0.5, volatility=0.0, jump_at=100)
     specs = (DriftSpec(kind="none"), walk, DriftSpec(kind="ornstein_uhlenbeck", **still),
              DriftSpec(kind="jump", **still), DriftSpec(kind="one_over_f", scale=0.0),
              DriftSpec(kind="composite", parts=(walk,)))
@@ -37,9 +38,37 @@ def test_every_kind_keeps_its_start_when_motionless(rng):
         assert np.all(state.eta_opt == 0.3), spec.kind
 
 
+def test_every_kind_drifts_about_its_own_start():
+    """A spec alone and as the one part of a composite, on identical streams,
+    move eta_opt alike from start 0.3; a lone jump decays toward the start."""
+    walk = DriftSpec(kind="random_walk", step=0.01)
+    moving = dict(reversion=0.05, volatility=1e-3, jump_at=20)
+    specs = (DriftSpec(kind="none"), walk, DriftSpec(kind="ornstein_uhlenbeck", **moving),
+             DriftSpec(kind="jump", **moving), DriftSpec(kind="one_over_f"),
+             DriftSpec(kind="composite", parts=(walk,)))
+    assert {spec.kind for spec in specs} == set(KINDS)
+    for spec in specs:
+        alone = DriftBatch.init(spec, 3, 2, 0.3)
+        wrapped = DriftBatch.init(DriftSpec(kind="composite", parts=(spec,)), 3, 2, 0.3)
+        gen_alone, gen_wrapped = ensemble_generator(8), ensemble_generator(8)
+        for _ in range(50):
+            alone.step(gen_alone)
+            wrapped.step(gen_wrapped)
+        assert np.abs(alone.eta_opt - wrapped.eta_opt).max() <= 1e-12, spec.kind
+    jump = DriftBatch.init(DriftSpec(kind="jump", reversion=0.5, volatility=0.0, jump_at=5), 1, 1, 0.3)
+    gen = ensemble_generator(9)
+    for _ in range(10):
+        jump.step(gen)
+    assert jump.eta_opt[0, 0] == pytest.approx(0.3 + 0.15 * np.exp(-0.5 * 5), abs=1e-15)
+
+
 def test_init_start_must_broadcast_to_ensemble_shape():
-    """A start of length n_traj with m=1 is rejected; an (n_traj, 1) column is kept."""
+    """A start of length n_traj with m=1 is rejected; an (n_traj, 1) column is
+    kept; an ensemble with no trajectory or no parameter is rejected."""
     spec = DriftSpec(kind="random_walk", step=0.1)
+    for n_traj, m in ((0, 1), (1, 0), (-1, 2)):
+        with pytest.raises(ValueError):
+            DriftBatch.init(spec, n_traj, m)
     with pytest.raises(ValueError):
         DriftBatch.init(spec, 3, 1, np.array([0.1, 0.2, 0.3]))
     start = np.array([[0.1], [0.2], [0.3]])

@@ -246,6 +246,10 @@ def test_outcome_distribution_rejects_unnormalized_state():
 def test_bit_to_z_convention():
     assert bit_to_z(0) == 1
     assert bit_to_z("1") == -1
+    assert bit_to_z("0") == 1 and bit_to_z(1) == -1
+    for bad in ("10", 2, -1, "", "01"):
+        with pytest.raises(ValueError):
+            bit_to_z(bad)
 
 
 # =============================================================================
