@@ -6,12 +6,28 @@ under the linearized outcome model, its stationary values, the optimal gain
 under random-walk drift, and the exact gain schedule that maximizes the
 variance contraction rate.
 
+``TrajectoryRecord`` logs one trajectory, a row per shot, in typed column
+buffers that grow in place, so a shot adds raw values, not Python objects:
+
+- ``t`` and ``reps``: ``array("q")``; ``gain`` and ``infidelity``:
+  ``array("d")``;
+- ``eta`` and ``eta_opt``: one ``array("d")`` each, holding the (T, m)
+  matrix row-major; m is fixed by the first append, and every append must
+  give two vectors of that length;
+- ``outcome`` and ``event``: lists of shared strings (outcomes are
+  interned, so a two-bit outcome is not a new object per shot).
+
+Reading ``eta`` or ``eta_opt`` returns a (T, m) copy, never a view: an
+array that still exports its buffer cannot grow, so a view would make the
+next append raise ``BufferError``.
+
 Summary helpers reduce ensembles of trajectories to tables (per-shot
 mean/sd, per-trajectory experiment means, medians, IQRs).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from array import array
 
 import numpy as np
 
@@ -20,6 +36,14 @@ def _check_gain(gain: float) -> None:
     """The closed forms hold for a gain in [0, 1/2), where 1 - 4 gain lies in (-1, 1]."""
     if not 0 <= gain < 0.5:
         raise ValueError("gain must lie in [0, 1/2)")
+
+
+def _check_sensitivity(s: float, step: float) -> None:
+    """The closed forms need s > 0 and a drift step >= 0; NaN fails both."""
+    if not s > 0:
+        raise ValueError("s must be > 0")
+    if not step >= 0:
+        raise ValueError("step must be >= 0")
 
 
 def predict_mean(mu0: float, gain: float, t: int | np.ndarray):
@@ -31,8 +55,7 @@ def predict_mean(mu0: float, gain: float, t: int | np.ndarray):
 def stationary_variance(gain: float, s: float, step: float = 0.0) -> float:
     """Late-time variance: gain/(4 s^2) plus step^2/(4 gain) under drift."""
     _check_gain(gain)
-    if s <= 0:
-        raise ValueError("s must be > 0")
+    _check_sensitivity(s, step)
     base = gain / (4.0 * s * s)
     if step == 0.0:
         return base
@@ -55,8 +78,7 @@ def predict_variance(sigma0_sq: float, mu0: float, gain: float, s: float,
     drift).
     """
     _check_gain(gain)
-    if s <= 0:
-        raise ValueError("s must be > 0")
+    _check_sensitivity(s, step)
     t = np.asarray(t)
     if gain == 0.0:
         return sigma0_sq + step * step * t
@@ -68,8 +90,7 @@ def predict_variance(sigma0_sq: float, mu0: float, gain: float, s: float,
 
 def optimal_gain(step: float, s: float) -> float:
     """Gain minimizing the drifted stationary variance: step * s."""
-    if step < 0 or s <= 0:
-        raise ValueError("step must be >= 0 and s > 0")
+    _check_sensitivity(s, step)
     _check_gain(step * s)
     return step * s
 
@@ -95,7 +116,7 @@ def autocorrelation_sum(record, window: int) -> int:
 
 def duty_cycle(t_cal: float, t_idle: float) -> float:
     """Fraction of shots spent calibrating: t_cal / (t_cal + t_idle)."""
-    if t_cal < 0 or t_idle < 0 or (t_cal == 0 and t_idle == 0):
+    if not (t_cal >= 0 and t_idle >= 0) or t_cal == t_idle == 0:
         raise ValueError("shot counts must be nonnegative and not both zero")
     return t_cal / (t_cal + t_idle)
 
@@ -111,45 +132,76 @@ EVENT_GAIN = "gain_change"
 EVENT_REPS = "reps_change"
 EVENT_SKIP = "skip_update"
 
+# A dtype object, not ``float``, so that ``np.asarray`` on the logging path skips parsing it.
+_FLOAT64 = np.dtype(np.float64)
+
 RECORD_COLUMNS = ("trajectory", "t", "eta", "eta_opt", "delta_eta", "outcome",
                   "gain", "reps", "infidelity", "event")
 
 
-@dataclass
 class TrajectoryRecord:
-    """Per-shot log of one trajectory; the unit of analysis and CSV output."""
+    """Per-shot log of one trajectory; the unit of analysis and CSV output.
 
-    index: int
-    t: list[int] = field(default_factory=list)
-    eta: list[np.ndarray] = field(default_factory=list)
-    eta_opt: list[np.ndarray] = field(default_factory=list)
-    outcome: list[str] = field(default_factory=list)
-    gain: list[float] = field(default_factory=list)
-    reps: list[int] = field(default_factory=list)
-    infidelity: list[float] = field(default_factory=list)
-    event: list[str] = field(default_factory=list)
+    Each column is one typed buffer that grows by a row per shot; see the
+    module docstring for the layout and the copy-on-read rule.
+    """
+
+    def __init__(self, index: int):
+        self.index = index
+        self.t = array("q")
+        self.reps = array("q")
+        self.gain = array("d")
+        self.infidelity = array("d")
+        self.outcome: list[str] = []
+        self.event: list[str] = []
+        self._shape: tuple[int] | None = None    # (m,), fixed by the first append
+        self._eta = array("d")                    # (T, m), row-major
+        self._eta_opt = array("d")
 
     def append(self, t: int, eta, eta_opt, outcome: str, gain: float, reps: int,
                infidelity: float, event: str = EVENT_NONE) -> None:
         if self.t and t <= self.t[-1]:
             raise ValueError("shot index must be strictly increasing")
+        eta = np.asarray(eta, _FLOAT64)
+        eta_opt = np.asarray(eta_opt, _FLOAT64)
+        if eta.shape != self._shape or eta_opt.shape != self._shape:
+            self._fix_shape(eta.shape, eta_opt.shape)
+        outcome = sys.intern(outcome)
         self.t.append(t)
-        self.eta.append(np.array(eta, dtype=float, ndmin=1))
-        self.eta_opt.append(np.array(eta_opt, dtype=float, ndmin=1))
+        self._eta.frombytes(eta.tobytes())
+        self._eta_opt.frombytes(eta_opt.tobytes())
         self.outcome.append(outcome)
         self.gain.append(gain)
         self.reps.append(reps)
         self.infidelity.append(infidelity)
         self.event.append(event)
 
+    def _fix_shape(self, eta_shape: tuple, eta_opt_shape: tuple) -> None:
+        """Fix m at the first append from two vectors of one length m >= 1; reject anything else."""
+        if self._shape is not None or eta_shape != eta_opt_shape or len(eta_shape) != 1 or not eta_shape[0]:
+            raise ValueError(f"eta and eta_opt must both have shape {self._shape or '(m,)'}, "
+                             f"got {eta_shape} and {eta_opt_shape}")
+        self._shape = eta_shape
+
+    @property
+    def eta(self) -> np.ndarray:
+        """(T, m) copy of the control values, one row per shot."""
+        return self._matrix(self._eta)
+
+    @property
+    def eta_opt(self) -> np.ndarray:
+        """(T, m) copy of the hidden optima, one row per shot."""
+        return self._matrix(self._eta_opt)
+
+    def _matrix(self, column: array) -> np.ndarray:
+        return np.array(column).reshape(len(self.t), *(self._shape or (0,)))
+
     def rows(self):
         """CSV rows; vector parameters are ';'-joined in one field."""
         fmt = lambda x: format(float(x), ".12g")
-        for i in range(len(self.t)):
-            eta = ";".join(fmt(v) for v in self.eta[i])
-            opt = ";".join(fmt(v) for v in self.eta_opt[i])
-            delta = ";".join(fmt(a - b) for a, b in zip(self.eta[i], self.eta_opt[i]))
-            yield (self.index, self.t[i], eta, opt, delta, self.outcome[i],
+        join = lambda v: ";".join(fmt(x) for x in v)
+        for i, (eta, opt) in enumerate(zip(self.eta, self.eta_opt)):
+            yield (self.index, self.t[i], join(eta), join(opt), join(eta - opt), self.outcome[i],
                    fmt(self.gain[i]), self.reps[i], fmt(self.infidelity[i]), self.event[i])
 
 

@@ -45,14 +45,16 @@ class DriftSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown drift kind {self.kind!r}")
-        if self.step < 0 or self.volatility < 0 or self.reversion < 0:
-            raise ValueError("drift magnitudes must be nonnegative")
+        if not all(x >= 0 for x in (self.step, self.volatility, self.reversion, self.scale)):
+            raise ValueError("drift magnitudes and scale must be nonnegative numbers")
+        if not np.isfinite(self.jump_size):
+            raise ValueError("jump_size must be finite")
         if self.jump_at < 1:
             raise ValueError("jump_at must be >= 1")
         if self.n_components < 1:
             raise ValueError("n_components must be >= 1")
-        if self.kind == "composite" and not self.parts:
-            raise ValueError("composite drift needs at least one part")
+        if (self.kind == "composite") != bool(self.parts):
+            raise ValueError("composite drift needs at least one part, and only composite drift has parts")
 
 
 def one_over_f_coefficients(n_components: int) -> tuple[np.ndarray, np.ndarray]:

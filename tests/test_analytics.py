@@ -1,9 +1,14 @@
 """Closed-form predictions: hand checks, recursion oracles, summaries."""
+import sys
+
 import numpy as np
 import pytest
 
 from conftest import variance_recursion
 from driftcal.analytics import (
+    EVENT_ABORT,
+    EVENT_UPDATE,
+    RECORD_COLUMNS,
     TrajectoryRecord,
     autocorrelation_sum,
     duty_cycle,
@@ -68,12 +73,18 @@ def test_variance_closed_forms_reject_bad_gain():
             stationary_variance(bad, 0.5)
         with pytest.raises(ValueError, match="gain"):
             predict_variance(0.01, 0.0, bad, 0.5, 0.0, 40)
-    for bad_s in (0.0, -0.5):
+    for bad_s in (0.0, -0.5, float("nan")):
         with pytest.raises(ValueError, match="s must"):
             stationary_variance(0.1, bad_s)
         for gain in (0.0, 0.1):
             with pytest.raises(ValueError, match="s must"):
                 predict_variance(0.01, 0.0, gain, bad_s, 0.0, 40)
+    for bad_step in (-0.01, float("nan")):
+        with pytest.raises(ValueError, match="step must"):
+            stationary_variance(0.1, 0.5, bad_step)
+        for gain in (0.0, 0.1):
+            with pytest.raises(ValueError, match="step must"):
+                predict_variance(0.01, 0.0, gain, 0.5, bad_step, 40)
 
 
 def test_variance_zero_gain_accumulates_drift():
@@ -147,8 +158,9 @@ def test_duty_cycle_values():
     assert duty_cycle(1.0, 0.0) == 1.0
     assert duty_cycle(1.0, 99.0) == pytest.approx(0.01)
     assert duty_cycle(0.0, 10.0) == 0.0
-    with pytest.raises(ValueError):
-        duty_cycle(0.0, 0.0)
+    for bad in ((0.0, 0.0), (-1.0, 2.0), (1.0, -1.0), (float("nan"), 1.0), (1.0, float("nan"))):
+        with pytest.raises(ValueError):
+            duty_cycle(*bad)
 
 
 # =============================================================================
@@ -193,7 +205,81 @@ def test_trajectory_record_rows_and_ordering():
 
 def test_trajectory_record_keeps_copies_of_its_parameter_vectors():
     rec = TrajectoryRecord(index=0)
-    eta, eta_opt = np.array([0.1, 0.2]), np.float64(0.3)
+    eta, eta_opt = np.array([0.1, 0.2]), np.array([0.3, 0.4])
     rec.append(0, eta, eta_opt, "0", 0.05, 1, 0.0)
     eta[0] = 9.0
-    assert rec.eta[0].tolist() == [0.1, 0.2] and rec.eta_opt[0].tolist() == [0.3]
+    assert rec.eta[0].tolist() == [0.1, 0.2] and rec.eta_opt[0].tolist() == [0.3, 0.4]
+
+
+def test_trajectory_record_rejects_vectors_of_other_lengths():
+    """m is fixed by the first append; eta and eta_opt must both be length-m vectors."""
+    for eta, eta_opt in (([0.1, 0.2], 0.3), ([0.1, 0.2], [0.3]), (0.1, 0.3), ([], []), ([[0.1]], [[0.3]])):
+        with pytest.raises(ValueError):
+            TrajectoryRecord(index=0).append(0, eta, eta_opt, "0", 0.05, 1, 0.0)
+    rec = TrajectoryRecord(index=0)
+    rec.append(0, [0.1, 0.2], [0.3, 0.4], "0", 0.05, 1, 0.0)
+    for eta, eta_opt in (([0.1], [0.3]), ([0.1, 0.2, 0.3], [0.1, 0.2, 0.3]), ([0.1, 0.2], [0.3])):
+        with pytest.raises(ValueError):
+            rec.append(1, eta, eta_opt, "0", 0.05, 1, 0.0)
+    assert rec.eta.shape == (1, 2) and len(list(rec.rows())) == 1
+
+
+def test_trajectory_record_rows_round_trip():
+    """Two-bit outcomes, an aborted shot and negative deltas at m = 3."""
+    rec = TrajectoryRecord(index=7)
+    rec.append(0, [0.5, -0.25, 0.0], [0.75, 0.25, -0.125], "01", 0.05, 1, 0.03125, EVENT_UPDATE)
+    rec.append(2, np.array([0.125, 0.5, 1.0]), np.zeros(3), "", 0.1, 3, 0.5, EVENT_ABORT)
+    rec.append(5, [-1.5, 0.0, 0.25], [-1.0, 0.0, 0.5], "11", 0.1, 3, 0.0)
+    assert list(rec.rows()) == [
+        (7, 0, "0.5;-0.25;0", "0.75;0.25;-0.125", "-0.25;-0.5;0.125", "01", "0.05", 1, "0.03125",
+         "update"),
+        (7, 2, "0.125;0.5;1", "0;0;0", "0.125;0.5;1", "", "0.1", 3, "0.5", "abort"),
+        (7, 5, "-1.5;0;0.25", "-1;0;0.5", "-0.5;0;-0.25", "11", "0.1", 3, "0", ""),
+    ]
+    assert all(len(row) == len(RECORD_COLUMNS) for row in rec.rows())
+
+
+def test_trajectory_record_matrices_are_copies():
+    """eta and eta_opt read as (T, m) float64 copies; reading one does not block the next append."""
+    rec = TrajectoryRecord(index=0)
+    assert rec.eta.shape == (0, 0)
+    for t in range(4):
+        rec.append(t, [0.1 * t, 0.2, 0.3], [0.0, 0.1, 0.2 * t], "0", 0.05, 1, 0.0)
+        eta, eta_opt = rec.eta, rec.eta_opt
+        assert eta.shape == eta_opt.shape == (t + 1, 3) and eta.dtype == eta_opt.dtype == np.float64
+    eta[0, 0] = 9.0
+    rec.append(4, [0.4, 0.2, 0.3], [0.0, 0.1, 0.8], "1", 0.05, 1, 0.0)
+    assert rec.eta[:, 0].tolist() == [0.0, 0.1, 0.2, 0.30000000000000004, 0.4]
+    assert rec.eta_opt[:, 2].tolist() == [0.0, 0.2, 0.4, 0.6000000000000001, 0.8]
+
+
+def _retained_bytes(obj) -> int:
+    """sys.getsizeof of obj and everything it reaches through lists, dicts and
+    attributes, each object counted once."""
+    seen, total, stack = set(), 0, [obj]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        if isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif hasattr(obj, "__dict__"):
+            stack.append(vars(obj))
+    return total
+
+
+def test_trajectory_record_holds_under_90_bytes_per_shot():
+    """A logged m = 1 shot, fed rows of an ensemble array as the loop feeds
+    them, retains at most 90 bytes."""
+    n = 1000
+    eta = ensemble_generator(3).standard_normal((n, 1))
+    eta_opt = np.zeros((n, 1))
+    gain = 0.02
+    rec = TrajectoryRecord(index=0)
+    for t in range(n):
+        rec.append(t, eta[t], eta_opt[t], "01"[t % 2], gain, 1, float(eta[t, 0]) ** 2, EVENT_UPDATE)
+    assert _retained_bytes(rec) <= 90 * n

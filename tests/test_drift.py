@@ -199,3 +199,24 @@ def test_spec_validation():
         DriftSpec(kind="composite")
     with pytest.raises(ValueError):
         DriftSpec(kind="jump", jump_at=0)
+
+
+def test_spec_rejects_nan_magnitudes():
+    nan = float("nan")
+    for name in ("step", "reversion", "volatility", "scale"):
+        for bad in (nan, -1.0):
+            with pytest.raises(ValueError):
+                DriftSpec(kind="one_over_f", **{name: bad})
+    for bad in (nan, float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            DriftSpec(kind="jump", jump_size=bad)
+    DriftSpec(kind="jump", jump_size=-0.15)   # a jump may go either way
+
+
+def test_spec_rejects_parts_on_non_composite_kinds():
+    part = DriftSpec("jump", jump_at=1, jump_size=5.0)
+    for kind in KINDS:
+        if kind != "composite":
+            with pytest.raises(ValueError):
+                DriftSpec(kind, parts=(part,))
+    assert DriftSpec("composite", parts=(part,)).parts == (part,)
