@@ -167,13 +167,19 @@ class TrajectoryRecord:
         if eta.shape != self._shape or eta_opt.shape != self._shape:
             self._fix_shape(eta.shape, eta_opt.shape)
         outcome = sys.intern(outcome)
-        self.t.append(t)
+        try:
+            self.t.append(t)
+            self.reps.append(reps)
+            self.gain.append(gain)
+            self.infidelity.append(infidelity)
+        except (TypeError, OverflowError):
+            # a value the typed columns cannot hold: drop this shot's partial row
+            for column in (self.t, self.reps, self.gain, self.infidelity):
+                del column[len(self.event):]
+            raise
         self._eta.frombytes(eta.tobytes())
         self._eta_opt.frombytes(eta_opt.tobytes())
         self.outcome.append(outcome)
-        self.gain.append(gain)
-        self.reps.append(reps)
-        self.infidelity.append(infidelity)
         self.event.append(event)
 
     def _fix_shape(self, eta_shape: tuple, eta_opt_shape: tuple) -> None:

@@ -49,9 +49,9 @@ class DriftSpec:
             raise ValueError("drift magnitudes and scale must be nonnegative numbers")
         if not np.isfinite(self.jump_size):
             raise ValueError("jump_size must be finite")
-        if self.jump_at < 1:
+        if not self.jump_at >= 1:
             raise ValueError("jump_at must be >= 1")
-        if self.n_components < 1:
+        if not self.n_components >= 1:
             raise ValueError("n_components must be >= 1")
         if (self.kind == "composite") != bool(self.parts):
             raise ValueError("composite drift needs at least one part, and only composite drift has parts")

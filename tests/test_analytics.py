@@ -224,6 +224,21 @@ def test_trajectory_record_rejects_vectors_of_other_lengths():
     assert rec.eta.shape == (1, 2) and len(list(rec.rows())) == 1
 
 
+def test_trajectory_record_drops_a_shot_its_columns_cannot_hold():
+    """A value a typed column rejects leaves no partial row behind."""
+    rec = TrajectoryRecord(index=0)
+    rec.append(0, [0.1], [0.0], "0", 0.05, 1, 0.0)
+    for bad in ({"reps": 1.5}, {"gain": None}, {"infidelity": "x"}, {"reps": 2**63}):
+        kwargs = {"gain": 0.05, "reps": 1, "infidelity": 0.0, **bad}
+        with pytest.raises((TypeError, OverflowError)):
+            rec.append(1, [0.2], [0.0], "1", **kwargs)
+    rec.append(1, [0.2], [0.0], "1", 0.05, 2, 0.5)
+    assert [row[1:] for row in rec.rows()] == [
+        (0, "0.1", "0", "0.1", "0", "0.05", 1, "0", ""),
+        (1, "0.2", "0", "0.2", "1", "0.05", 2, "0.5", ""),
+    ]
+
+
 def test_trajectory_record_rows_round_trip():
     """Two-bit outcomes, an aborted shot and negative deltas at m = 3."""
     rec = TrajectoryRecord(index=7)

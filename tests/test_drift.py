@@ -210,6 +210,9 @@ def test_spec_rejects_nan_magnitudes():
     for bad in (nan, float("inf"), -float("inf")):
         with pytest.raises(ValueError):
             DriftSpec(kind="jump", jump_size=bad)
+    for name in ("jump_at", "n_components"):
+        with pytest.raises(ValueError):
+            DriftSpec(kind="jump", **{name: nan})
     DriftSpec(kind="jump", jump_size=-0.15)   # a jump may go either way
 
 
