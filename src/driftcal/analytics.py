@@ -116,8 +116,8 @@ def autocorrelation_sum(record, window: int) -> int:
 
 def duty_cycle(t_cal: float, t_idle: float) -> float:
     """Fraction of shots spent calibrating: t_cal / (t_cal + t_idle)."""
-    if not (t_cal >= 0 and t_idle >= 0) or t_cal == t_idle == 0:
-        raise ValueError("shot counts must be nonnegative and not both zero")
+    if not (0 <= t_cal < np.inf and 0 <= t_idle < np.inf) or t_cal == t_idle == 0:
+        raise ValueError("shot counts must be finite, nonnegative and not both zero")
     return t_cal / (t_cal + t_idle)
 
 

@@ -23,7 +23,8 @@ families:
   so that a positive tilt parameter biases outcome "0" upward in the first
   probe circuit.
 - ``cz_family``: three parameters feeding the diagonal phase gate; the
-  interleaved single-qubit gates and Hadamards are taken as perfect.
+  interleaved gx(0) and Hadamard gates are perfect, read-only matrices
+  built once at import, so a shot builds only its ``cz`` gate.
 
 Noisy execution applies depolarization with probability ``p`` after each
 gate, then a single depolarization with probability ``p_spam`` on all qubits
@@ -73,10 +74,9 @@ class Circuit:
     reps: int = 1
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be >= 1")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        for name, value in (("n_qubits", self.n_qubits), ("reps", self.reps)):
+            if not (isinstance(value, (int, np.integer)) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1")
         for op in self.ops:
             if len(set(op.targets)) != len(op.targets):
                 raise ValueError(f"gate {op.name} repeats a target")
@@ -134,10 +134,13 @@ GXGY_GATES = {
     "gy": lambda d: gates.gy(d[0], -d[1]),  # tilt sign convention, see module docstring
 }
 
+_GX0 = gates.gx(0.0)
+_GX0.flags.writeable = False
+
 CZ_GATES = {
     "cz": lambda d: gates.cz(d[0], d[1], d[2]),
-    "gx0": lambda d: gates.gx(0.0),
-    "h": lambda d: gates.hadamard(),
+    "gx0": lambda d: _GX0,
+    "h": lambda d: gates.HADAMARD,
 }
 
 

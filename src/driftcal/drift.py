@@ -8,15 +8,15 @@ n_traj = 1.  Every process moves eta_opt = start + offset, the offset zero
 at init, so it drifts about its own start, alone or in a composite:
 
 - ``random_walk``: offset += q * step with q = +/-1 equiprobable.
-- ``one_over_f``: offset = scale * the sum of ``n_components`` independent
+- ``one_over_f``: offset = scale * the sum of seven independent
   Ornstein-Uhlenbeck components, c <- c * exp(-reversion[i]) + volatility[i]
   * eps with eps ~ N(0, 1), reversion[i] = 10 * (1/4)**i and volatility[i] =
-  2**i * (1 - exp(-2 * reversion[i])), i = 1..n; octave-spaced correlation
+  2**i * (1 - exp(-2 * reversion[i])), i = 1..7; octave-spaced correlation
   times give an approximately 1/f spectrum.
 - ``ornstein_uhlenbeck``: one component with the spec's coefficients, scale
   1; stationary variance volatility^2 / (1 - exp(-2 * reversion)).
 - ``jump``: the OU process with ``jump_size`` added to its component at
-  shot ``jump_at``, so the jump decays at the OU rate.
+  shot ``jump_at``, an integer, so the jump decays at the OU rate.
 - ``composite``: the start plus the sum of independent sub-processes.
 - ``none``: the bank with no components; a frozen optimum.
 """
@@ -39,7 +39,6 @@ class DriftSpec:
     jump_at: int = 1000         # shot index of the jump (1-based: fires on that step)
     jump_size: float = 0.15
     scale: float = 1e-3         # 1/f overall scale
-    n_components: int = 7
     parts: tuple["DriftSpec", ...] = ()
 
     def __post_init__(self) -> None:
@@ -49,17 +48,15 @@ class DriftSpec:
             raise ValueError("drift magnitudes and scale must be nonnegative numbers")
         if not np.isfinite(self.jump_size):
             raise ValueError("jump_size must be finite")
-        if not self.jump_at >= 1:
-            raise ValueError("jump_at must be >= 1")
-        if not self.n_components >= 1:
-            raise ValueError("n_components must be >= 1")
+        if not (isinstance(self.jump_at, (int, np.integer)) and self.jump_at >= 1):
+            raise ValueError("jump_at must be an integer >= 1")
         if (self.kind == "composite") != bool(self.parts):
             raise ValueError("composite drift needs at least one part, and only composite drift has parts")
 
 
-def one_over_f_coefficients(n_components: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-component (reversion, volatility) arrays for the 1/f construction."""
-    i = np.arange(1, n_components + 1, dtype=float)
+def one_over_f_coefficients() -> tuple[np.ndarray, np.ndarray]:
+    """Per-component (reversion, volatility) arrays of the seven 1/f components."""
+    i = np.arange(1, 8, dtype=float)
     reversion = 10.0 * 0.25**i
     volatility = 2.0**i * (1.0 - np.exp(-2.0 * reversion))
     return reversion, volatility
@@ -90,7 +87,7 @@ class DriftBatch:
             k = int(spec.kind != "none")
             reversion, batch.volatility = np.full(k, spec.reversion), np.full(k, spec.volatility)
             if spec.kind == "one_over_f":
-                reversion, batch.volatility = one_over_f_coefficients(spec.n_components)
+                reversion, batch.volatility = one_over_f_coefficients()
             batch.components = np.zeros((n_traj, m, len(reversion)))
             batch.decay = np.exp(-reversion)
         return batch

@@ -13,6 +13,7 @@ Angle conventions:
   is the left tensor factor.  Note the phase errors use the same half-angle
   convention as the single-qubit gates: every gate here is
   exp(i/2 (ideal + error) * generator).
+- ``HADAMARD`` is the one fixed gate, a read-only module constant.
 
 Rotation-angle error ``delta`` relates to a control parameter ``eta`` via
 delta = alpha * (eta - eta_opt); alpha defaults to 1 everywhere, making
@@ -29,9 +30,8 @@ from math import cos, pi, sin, sqrt
 
 import numpy as np
 
-from .simcore import pauli_matrix
-
-SQRT2_INV = 1.0 / sqrt(2.0)
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / sqrt(2.0)
+HADAMARD.flags.writeable = False
 _Z0 = np.array([1.0, 1.0, -1.0, -1.0])  # Z eigenvalue of the left factor per basis index
 _Z1 = np.array([1.0, -1.0, 1.0, -1.0])  # and of the right factor
 
@@ -68,12 +68,8 @@ def gx(delta: float) -> np.ndarray:
 
 def gy(theta: float, phi: float = 0.0) -> np.ndarray:
     half = 0.5 * (pi / 2 + theta)
-    axis = sin(phi) * pauli_matrix("X") + cos(phi) * pauli_matrix("Y")
-    return cos(half) * np.eye(2, dtype=complex) + 1j * sin(half) * axis
-
-
-def hadamard() -> np.ndarray:
-    return SQRT2_INV * np.array([[1, 1], [1, -1]], dtype=complex)
+    c, s, tilt = cos(half), sin(half), complex(cos(phi), sin(phi))
+    return np.array([[c, s * tilt], [-s * tilt.conjugate(), c]], dtype=complex)
 
 
 def cz(zi: float = 0.0, iz: float = 0.0, zz: float = 0.0) -> np.ndarray:

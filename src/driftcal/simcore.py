@@ -11,8 +11,9 @@ Conventions, fixed once here and relied on everywhere else:
   ``p`` a uniformly random Pauli (identity included) is applied to the
   target qubits.  Averaged over shots this reproduces the channel
   rho -> p * I/d + (1 - p) * rho exactly on the targets; a single shot
-  remains a pure state.  The density-matrix form exists only as a test
-  oracle.
+  remains a pure state.  One draw ``which`` in [0, 4**k) picks the Pauli:
+  its base-4 digits, most significant first, give I, X, Y or Z on the k
+  targets in order.  The density-matrix form is a test oracle only.
 - Global phase is ignored; state equality is tested via |<psi|phi>|.
 
 All operations are pure functions of (state, rng); callers own their states
@@ -25,22 +26,9 @@ from __future__ import annotations
 import numpy as np
 from numpy.random import Generator
 
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def pauli_matrix(label: str) -> np.ndarray:
-    """Dense matrix of a Pauli string, qubit 0 = leftmost letter."""
-    if not label or any(c not in _PAULI_1Q for c in label):
-        raise ValueError(f"invalid Pauli label {label!r}")
-    out = _PAULI_1Q[label[0]]
-    for c in label[1:]:
-        out = np.kron(out, _PAULI_1Q[c])
-    return out
+# I, X, Y, Z, indexed by a target's base-4 digit of a depolarization draw
+_PAULIS = tuple(np.array(m, dtype=complex)
+                for m in ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]))
 
 
 def zero_state(n_qubits: int) -> np.ndarray:
@@ -88,9 +76,10 @@ def apply_depolarizing(state: np.ndarray, p: float, targets: list[int] | tuple[i
     which = int(rng.integers(4**k))
     if which == 0:
         return state
-    letters = "IXYZ"
-    label = "".join(letters[(which >> (2 * (k - 1 - j))) & 3] for j in range(k))
-    return apply_unitary(state, pauli_matrix(label), targets)
+    pauli = _PAULIS[which >> 2 * (k - 1)]  # the first target's digit
+    for j in range(k - 2, -1, -1):
+        pauli = np.kron(pauli, _PAULIS[(which >> 2 * j) & 3])
+    return apply_unitary(state, pauli, targets)
 
 
 def outcome_distribution(state: np.ndarray) -> np.ndarray:

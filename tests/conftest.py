@@ -4,8 +4,11 @@ The density-matrix channel, the Pauli-transfer-matrix algebra, the
 matrix-exponential gate constructions and the variance recursion here are
 deliberately separate implementations from the package's
 statevector/closed-form paths, so every comparison is a genuine dual-route
-check.  The state overlap, the unitarity check and the per-id random
-streams are helpers only the tests use.
+check.  The Pauli table and label parser are the tests' own too: X and Z
+are written out and Y is built as iXZ, so a wrong Pauli in the package's
+depolarization cannot cancel out of a comparison.  The state overlap, the
+unitarity check and the per-id random streams are helpers only the tests
+use.
 
 Transfer matrices use the normalized Pauli basis (they are real); one-qubit
 depolarization is diag(1, 1-p, 1-p, 1-p), which keeps unitary transfer
@@ -19,7 +22,19 @@ import pytest
 from numpy.random import Generator, PCG64, SeedSequence
 from scipy.linalg import expm
 
-from driftcal.simcore import pauli_matrix
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_PAULIS = {"I": np.eye(2, dtype=complex), "X": _X, "Y": 1j * _X @ _Z, "Z": _Z}
+
+
+def pauli_matrix(label: str) -> np.ndarray:
+    """Dense matrix of a Pauli string, qubit 0 = leftmost letter."""
+    if not label or set(label) - set(_PAULIS):
+        raise ValueError(f"invalid Pauli label {label!r}")
+    out = np.ones((1, 1), dtype=complex)
+    for c in label:
+        out = np.kron(out, _PAULIS[c])
+    return out
 
 
 def expm_gate(generator: np.ndarray) -> np.ndarray:

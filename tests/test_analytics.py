@@ -158,7 +158,8 @@ def test_duty_cycle_values():
     assert duty_cycle(1.0, 0.0) == 1.0
     assert duty_cycle(1.0, 99.0) == pytest.approx(0.01)
     assert duty_cycle(0.0, 10.0) == 0.0
-    for bad in ((0.0, 0.0), (-1.0, 2.0), (1.0, -1.0), (float("nan"), 1.0), (1.0, float("nan"))):
+    inf, nan = float("inf"), float("nan")
+    for bad in ((0.0, 0.0), (-1.0, 2.0), (1.0, -1.0), (nan, 1.0), (1.0, nan), (inf, 1.0), (1.0, inf)):
         with pytest.raises(ValueError):
             duty_cycle(*bad)
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import stream
+from driftcal import gates
 from driftcal.circuits import (
     CZ_GATES,
     GX_GATES,
@@ -101,6 +102,11 @@ def test_circuit_validation():
         Circuit((GateOp("cz", (0, 0)),), n_qubits=2)
     with pytest.raises(ValueError, match="n_qubits"):
         CircuitFamily("gx", 1, [Circuit((), 0)], GX_GATES)
+    with pytest.raises(ValueError, match="reps"):
+        Circuit((GateOp("gx", (0,)),), 1, reps=1.5)
+    with pytest.raises(ValueError, match="n_qubits"):
+        Circuit((GateOp("gx", (0,)),), 1.5)
+    assert Circuit((GateOp("gx", (0,)),), np.int64(1), reps=np.int64(3)).reps == 3
 
 
 # =============================================================================
@@ -142,6 +148,21 @@ def test_each_gate_is_built_once_per_shot(monkeypatch):
         run_circuit(fam.circuits[ci], fam, params, NoiseParams(p=0.01, p_spam=0.02),
                     stream(4, ci))
         assert len(built) == len(set(built)) == n_gates
+
+
+def test_noisy_cz_shot_builds_only_its_cz_gate(monkeypatch):
+    """The cz probe's gx(0) and Hadamard are fixed, read-only matrices: a shot calls no gx."""
+    fam = cz_family(1)
+    zero = np.zeros(3)
+    assert np.array_equal(fam.gate_unitary("gx0", zero), gates.gx(0.0))
+    assert not any(fam.gate_unitary(name, zero).flags.writeable for name in ("gx0", "h"))
+    calls = []
+    real = gates.gx
+    monkeypatch.setattr(gates, "gx", lambda delta: calls.append(delta) or real(delta))
+    params = ControlParameterSet(np.full(3, 0.01), zero, np.ones(3))
+    for ci, circuit in enumerate(fam.circuits):
+        run_circuit(circuit, fam, params, NoiseParams(p=0.01, p_spam=0.02), stream(6, ci))
+    assert calls == []
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -155,7 +155,7 @@ def test_jump_rides_on_ou_base():
 
 
 def test_one_over_f_coefficients_exact():
-    rev, vol = one_over_f_coefficients(7)
+    rev, vol = one_over_f_coefficients()
     i = np.arange(1, 8)
     assert np.allclose(rev, 10.0 * 0.25**i)
     assert np.allclose(vol, 2.0**i * (1 - np.exp(-2 * 10.0 * 0.25**i)))
@@ -205,9 +205,10 @@ def test_spec_validation():
             with pytest.raises(ValueError):
                 DriftSpec(kind="one_over_f", **{name: bad})
     for name, bad in (("jump_size", nan), ("jump_size", float("inf")), ("jump_at", nan),
-                      ("n_components", nan)):
+                      ("jump_at", 2.5)):
         with pytest.raises(ValueError):
             DriftSpec(kind="jump", **{name: bad})
+    assert DriftSpec(kind="jump", jump_at=np.int64(3)).jump_at == 3
     DriftSpec(kind="jump", jump_size=-0.15)   # a jump may go either way
     part = DriftSpec("jump", jump_at=1, jump_size=5.0)
     for kind in KINDS:

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from conftest import depolarizing_ptm, expm_gate, is_unitary, process_infidelity, ptm
+from conftest import depolarizing_ptm, expm_gate, is_unitary, pauli_matrix, process_infidelity, ptm
 from driftcal.gates import (
     ControlParameterSet,
     cz,
@@ -11,7 +11,7 @@ from driftcal.gates import (
     gx_process_infidelity,
     gy,
 )
-from driftcal.simcore import apply_unitary, outcome_distribution, pauli_matrix, zero_state
+from driftcal.simcore import apply_unitary, outcome_distribution, zero_state
 
 
 # =============================================================================

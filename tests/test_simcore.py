@@ -1,10 +1,12 @@
 """Statevector kernel tests: gate application, noise unraveling, measurement."""
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import density_from_state, depolarize_density, embed_unitary, expm_gate, overlap, stream
+from conftest import density_from_state, depolarize_density, embed_unitary, expm_gate, overlap, pauli_matrix, stream
 from driftcal.gates import cz, gx
 from driftcal.rng import ensemble_generator
 from driftcal.simcore import (
@@ -14,7 +16,6 @@ from driftcal.simcore import (
     measure_computational,
     num_qubits,
     outcome_distribution,
-    pauli_matrix,
     zero_state,
 )
 
@@ -141,6 +142,35 @@ def test_depolarizing_returns_the_input_object_when_nothing_is_applied(rng):
 def test_depolarizing_rejects_bad_probability(rng):
     with pytest.raises(ValueError):
         apply_depolarizing(zero_state(1), 1.5, [0], rng)
+
+
+class _PauliDraw:
+    """An rng whose first draw fires the channel and whose second is ``which``."""
+
+    def __init__(self, which):
+        self.which = which
+
+    def random(self):
+        return 0.0
+
+    def integers(self, high):
+        assert self.which < high
+        return self.which
+
+
+@pytest.mark.parametrize("targets", [(0,), (2,), (0, 1), (2, 0)])
+def test_depolarizing_applies_the_pauli_of_each_base4_digit(rng, targets):
+    """Draw ``which`` applies the ``which``-th label of product("IXYZ", repeat=k):
+    the first target's letter is its most significant base-4 digit."""
+    state = rng.normal(size=8) + 1j * rng.normal(size=8)
+    state /= np.linalg.norm(state)
+    labels = list(product("IXYZ", repeat=len(targets)))
+    for which in range(1, len(labels)):
+        label = ["I"] * 3
+        for t, letter in zip(targets, labels[which]):
+            label[t] = letter
+        out = apply_depolarizing(state, 0.5, targets, _PauliDraw(which))
+        assert np.allclose(out, pauli_matrix("".join(label)) @ state, atol=1e-12), (which, label)
 
 
 def test_full_depolarization_gives_uniform_outcomes():
