@@ -77,8 +77,8 @@ class DriftBatch:
 
     @classmethod
     def init(cls, spec: DriftSpec, n_traj: int, m: int, eta_opt0: float | np.ndarray = 0.0) -> "DriftBatch":
-        if n_traj < 1 or m < 1:
-            raise ValueError("need n_traj >= 1 and m >= 1")
+        if not all(isinstance(x, (int, np.integer)) and x >= 1 for x in (n_traj, m)):
+            raise ValueError("n_traj and m must be integers >= 1")
         eta = np.broadcast_to(eta_opt0, (n_traj, m)).astype(float)
         batch = cls(spec=spec, eta_opt=eta, start=eta.copy())
         if spec.kind == "composite":

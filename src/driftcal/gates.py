@@ -32,8 +32,6 @@ import numpy as np
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / sqrt(2.0)
 HADAMARD.flags.writeable = False
-_Z0 = np.array([1.0, 1.0, -1.0, -1.0])  # Z eigenvalue of the left factor per basis index
-_Z1 = np.array([1.0, -1.0, 1.0, -1.0])  # and of the right factor
 
 
 @dataclass
@@ -74,10 +72,12 @@ def gy(theta: float, phi: float = 0.0) -> np.ndarray:
 
 def cz(zi: float = 0.0, iz: float = 0.0, zz: float = 0.0) -> np.ndarray:
     """Diagonal controlled-phase gate with three tunable phase errors."""
-    phase = 0.5 * (
-        pi / 2 + (pi / 2 + zz) * _Z0 * _Z1 - (pi / 2 + iz) * _Z1 - (pi / 2 + zi) * _Z0
-    )
-    return np.diag(np.exp(1j * phase))
+    a, b, c = pi / 2 + zi, pi / 2 + iz, pi / 2 + zz
+    # pi/2 + c Z0Z1 - b Z1 - a Z0 at basis indices 00, 01, 10, 11
+    phase = np.array([pi / 2 + c - b - a, pi / 2 - c + b - a, pi / 2 - c - b + a, pi / 2 + c + b + a])
+    u = np.zeros((4, 4), dtype=complex)
+    u.flat[::5] = np.exp(0.5j * phase)  # the diagonal
+    return u
 
 
 def entanglement_infidelity(w: np.ndarray, v: np.ndarray) -> float:

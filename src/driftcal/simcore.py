@@ -19,7 +19,9 @@ Conventions, fixed once here and relied on everywhere else:
 All operations are pure functions of (state, rng); callers own their states
 and rng streams, so trajectories can run fully in parallel.  Every call checks
 its input (state length, targets, gate dimension, norm).  The kernel makes no
-LAPACK call and composes no gates: each gate is one matrix-by-state product.
+LAPACK call and composes no gates.  A gate on one ascending block of qubits
+t0..t0+k-1 is multiplied into the state through a reshaped (2**t0, 2**k, rest)
+view, with no transposed copy; other target orders go through a transpose.
 """
 from __future__ import annotations
 
@@ -51,13 +53,16 @@ def apply_unitary(state: np.ndarray, u: np.ndarray, targets: list[int] | tuple[i
     """Apply ``u`` to ``targets`` (identity elsewhere); returns a new state."""
     n = num_qubits(state)
     targets = tuple(targets)
-    if len(set(targets)) != len(targets):
-        raise ValueError("targets must be distinct")
-    if any(t < 0 or t >= n for t in targets):
-        raise IndexError(f"target out of range for {n} qubits: {targets}")
     k = len(targets)
+    if len(set(targets)) != k:
+        raise ValueError("targets must be distinct")
+    if k and not (0 <= min(targets) and max(targets) < n):
+        raise IndexError(f"target out of range for {n} qubits: {targets}")
     if u.shape != (1 << k, 1 << k):
         raise ValueError(f"unitary dim {u.shape} does not match {k} targets")
+    t0 = targets[0] if k else 0
+    if targets == tuple(range(t0, t0 + k)):  # one ascending block: axes (qubits before, block, after)
+        return (u @ state.reshape(1 << t0, 1 << k, -1)).reshape(-1)
     shape = (2,) * n
     order = targets + tuple(ax for ax in range(n) if ax not in targets)
     psi = u @ state.reshape(shape).transpose(order).reshape(1 << k, -1)
@@ -93,10 +98,13 @@ def outcome_distribution(state: np.ndarray) -> np.ndarray:
 
 def measure_computational(state: np.ndarray, rng: Generator) -> str:
     """Sample one terminal computational-basis measurement outcome."""
-    probs = outcome_distribution(state)
-    idx = int(probs.cumsum().searchsorted(rng.random(), side="right"))
-    idx = min(idx, len(probs) - 1)
-    return format(idx, f"0{num_qubits(state)}b")
+    n = num_qubits(state)
+    cum = (np.abs(state) ** 2).cumsum()
+    norm2 = cum[-1]
+    if not abs(norm2 - 1.0) <= 1e-9:  # NaN fails too
+        raise ValueError(f"state is not normalized: |psi|^2 = {norm2}")
+    idx = int(cum.searchsorted(rng.random() * norm2, side="right"))
+    return format(min(idx, len(cum) - 1), f"0{n}b")
 
 
 def bit_to_z(bit: int | str) -> int:

@@ -64,11 +64,13 @@ def test_every_kind_drifts_about_its_own_start():
 
 def test_init_start_must_broadcast_to_ensemble_shape():
     """A start of length n_traj with m=1 is rejected; an (n_traj, 1) column is
-    kept; an ensemble with no trajectory or no parameter is rejected."""
+    kept; an ensemble with no trajectory, no parameter or a count that is not
+    an integer is rejected; numpy integer counts build."""
     spec = DriftSpec(kind="random_walk", step=0.1)
-    for n_traj, m in ((0, 1), (1, 0), (-1, 2)):
+    for n_traj, m in ((0, 1), (1, 0), (-1, 2), (1.5, 1), (1, 2.5), (float("nan"), 1)):
         with pytest.raises(ValueError):
             DriftBatch.init(spec, n_traj, m)
+    assert DriftBatch.init(spec, np.int64(2), np.int64(3)).eta_opt.shape == (2, 3)
     with pytest.raises(ValueError):
         DriftBatch.init(spec, 3, 1, np.array([0.1, 0.2, 0.3]))
     start = np.array([[0.1], [0.2], [0.3]])

@@ -1,6 +1,8 @@
 """Gate constructors vs matrix-exponential oracles; infidelity metrics."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import depolarizing_ptm, expm_gate, is_unitary, pauli_matrix, process_infidelity, ptm
 from driftcal.gates import (
@@ -69,6 +71,25 @@ def test_cz_matches_expm(angles):
     assert np.allclose(u, expm_gate(gen), atol=1e-12)
     assert np.count_nonzero(u - np.diag(np.diag(u))) == 0  # diagonal
     assert is_unitary(u)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(angles=st.tuples(*[st.floats(-np.pi, np.pi)] * 3))
+def test_cz_diagonal_pins_the_phase_convention(angles):
+    """cz is exp(i/2 [pi/2 + (pi/2+zz) Z0Z1 - (pi/2+iz) Z1 - (pi/2+zi) Z0]), a
+    diagonal gate, so its exponential is that of its diagonal; each call
+    returns a fresh, writable array."""
+    zi, iz, zz = angles
+    z0, z1 = np.array([1.0, 1.0, -1.0, -1.0]), np.array([1.0, -1.0, 1.0, -1.0])
+    phase = 0.5 * (np.pi / 2 + (np.pi / 2 + zz) * z0 * z1 - (np.pi / 2 + iz) * z1 - (np.pi / 2 + zi) * z0)
+    u = cz(zi, iz, zz)
+    assert u.shape == (4, 4) and u.dtype == complex
+    assert np.allclose(u, np.diag(np.exp(1j * phase)), rtol=0, atol=1e-15)
+    assert np.count_nonzero(u - np.diag(np.diag(u))) == 0
+    again = cz(zi, iz, zz)
+    assert u.flags.writeable and not np.shares_memory(u, again)
+    u[:] = 0.0
+    assert np.array_equal(again, cz(zi, iz, zz))
 
 
 def test_cz_ideal_is_standard_cz():

@@ -98,6 +98,38 @@ def test_apply_unitary_matches_dense_embedding_for_any_target_order(data, n, see
     assert np.allclose(apply_unitary(state, u, targets), expected, rtol=0, atol=1e-12)
 
 
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0))
+def test_apply_unitary_on_every_contiguous_block_matches_dense_embedding(seed):
+    """Every ascending block t0..t0+k-1 of 1..5 qubits, the reshaped-view path;
+    the result is a new array, so writing into it leaves the input as it was."""
+    gen = np.random.default_rng(seed)
+    for n in range(1, 6):
+        state = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
+        state /= np.linalg.norm(state)
+        before = state.copy()
+        for k in range(1, n + 1):
+            dim = 2**k
+            u = expm_gate(gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim)))
+            for t0 in range(n - k + 1):
+                targets = tuple(range(t0, t0 + k))
+                out = apply_unitary(state, u, targets)
+                expected = embed_unitary(u, list(targets), n) @ state
+                assert np.allclose(out, expected, rtol=0, atol=1e-12), (n, targets)
+                out[:] = 0.0
+                assert np.array_equal(state, before)
+
+
+def test_apply_unitary_real_state_under_complex_two_qubit_gate():
+    """A real 2-qubit state under a complex gate on the block (0, 1) comes back complex."""
+    state = np.array([0.5, -0.5, 0.5, 0.5])
+    u = cz(0.1, -0.2, 0.3) @ np.kron(gx(0.2), gx(-0.4))
+    out = apply_unitary(state, u, (0, 1))
+    assert out.dtype == complex
+    assert np.allclose(out, u @ state, rtol=0, atol=1e-15)
+    assert np.abs(out.imag).max() > 0.1
+
+
 @pytest.mark.parametrize("length", [0, 3, 6])
 def test_num_qubits_rejects_lengths_that_are_not_powers_of_two(length):
     with pytest.raises(ValueError, match="power of two"):
@@ -261,6 +293,36 @@ def test_sampling_matches_distribution_self_consistency():
 def test_measurement_requires_normalized_state(rng):
     with pytest.raises(ValueError):
         measure_computational(2.0 * zero_state(1), rng)
+
+
+class _LastDraw:
+    """A generator stub whose every uniform draw is the largest double below 1."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return 1.0 - 2.0**-53
+
+
+@pytest.mark.parametrize("norm2", [1.0, 1.0 + 5e-10])
+def test_measurement_with_the_largest_draw_samples_the_last_outcome(norm2):
+    """Within the norm tolerance the top draw lands on the last outcome, from one draw."""
+    gen = _LastDraw()
+    state = np.sqrt(norm2) * np.full(4, 0.5, dtype=complex)
+    assert measure_computational(state, gen) == "11"
+    assert gen.calls == 1
+    gen = _LastDraw()
+    assert measure_computational(np.sqrt(norm2) * zero_state(2), gen) == "00"
+    assert gen.calls == 1
+
+
+def test_measurement_rejects_norm_beyond_tolerance():
+    with pytest.raises(ValueError, match="not normalized"):
+        measure_computational(np.sqrt(1 + 2e-9) * np.full(4, 0.5, dtype=complex), _LastDraw())
+    with pytest.raises(ValueError, match="not normalized"):
+        measure_computational(np.array([np.nan, 0.0], dtype=complex), _LastDraw())
 
 
 def test_outcome_distribution_rejects_unnormalized_state():
