@@ -4,15 +4,29 @@ A ``Circuit`` stores its gate sequence in execution order (first-applied
 first) and a whole-sequence repetition count.  Circuits start from |0...0>
 and end with a computational-basis measurement.
 
-A ``CircuitFamily`` is a gate table (gate name -> builder of the gate's
-unitary from the parameter errors) and the probe circuits it runs.  The
-table is checked against the circuits when the family is built: an op that
-names a gate outside the table, or whose target count does not match the
-gate's dimension, and a gate that reads more errors than the family has
-parameters raise ``ValueError`` then, not mid-run.  A gate depends
-only on its name and the shot's errors, so each shot builds every distinct
-gate of its circuit once and applies the built gates op by op.  Built-in
-families:
+A ``CircuitFamily`` is a gate table and the probe circuits it runs.  The
+table maps a gate name to a builder of the gate's unitary from the parameter
+errors, or, for a fixed gate that reads no error, to its read-only matrix.
+The table is checked against the circuits when the family is built: an op
+that names a gate outside the table, or whose target count does not match the
+gate's dimension, a gate that reads more errors than the family has
+parameters, and a fixed matrix that is writable raise ``ValueError`` then, not
+mid-run.
+
+The family also plans each circuit once, at build, into a step list for
+noiseless shots.  Consecutive fixed ops whose qubits span a contiguous block
+t0..t0+k-1 no wider than the family's widest gate become one step: their
+product, composed on basis states with the checked ``apply_unitary`` (so any
+target order works), kept read-only with its (2**t0, 2**k, rest) view dims.
+Every other op stays a (name, targets) step.  Since the plan was checked
+when it was made, its precomposed steps go through ``apply_block``, the
+unchecked core, and only the (name, targets) steps through the checked
+``apply_unitary``.  A gate depends only on its name and the shot's errors, so
+a noiseless shot builds each gate its (name, targets) steps name once, and a
+``cz`` shot runs three precomposed steps and three ``cz`` applies.  A shot
+with per-gate noise keeps one step per op, because depolarization follows
+every op: it builds every distinct gate of its circuit once and applies them
+op by op.  Built-in families:
 
 - ``gx_family``: one parameter; every ``gx`` op gets rotation error d[0].
   Repetition parity decides the character of the circuit: odd powers
@@ -23,8 +37,8 @@ families:
   so that a positive tilt parameter biases outcome "0" upward in the first
   probe circuit.
 - ``cz_family``: three parameters feeding the diagonal phase gate; the
-  interleaved gx(0) and Hadamard gates are perfect, read-only matrices
-  built once at import, so a shot builds only its ``cz`` gate.
+  interleaved gx(0) and Hadamard gates are fixed, read-only matrices built
+  once at import, so a shot builds only its ``cz`` gate.
 
 Noisy execution applies depolarization with probability ``p`` after each
 gate, then a single depolarization with probability ``p_spam`` on all qubits
@@ -56,9 +70,10 @@ from functools import cached_property
 import numpy as np
 from numpy.random import Generator
 
-from . import gates
+from . import gates, simcore
 from .gates import ControlParameterSet
-from .simcore import apply_depolarizing, apply_unitary, measure_computational, outcome_distribution, zero_state
+from .simcore import (apply_block, apply_depolarizing, apply_unitary, measure_computational,
+                      outcome_distribution, zero_state)
 
 
 @dataclass(frozen=True)
@@ -78,6 +93,8 @@ class Circuit:
             if not (isinstance(value, (int, np.integer)) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1")
         for op in self.ops:
+            if not all(isinstance(t, (int, np.integer)) for t in op.targets):
+                raise ValueError(f"gate {op.name} has a target that is not an integer")
             if len(set(op.targets)) != len(op.targets):
                 raise ValueError(f"gate {op.name} repeats a target")
             if any(t < 0 or t >= self.n_qubits for t in op.targets):
@@ -100,10 +117,11 @@ class NoiseParams:
 
 
 class CircuitFamily:
-    """A gate table (name -> builder(deltas)) and the probe circuits it runs."""
+    """A gate table (name -> builder(deltas) or fixed read-only matrix) and
+    the probe circuits it runs, each planned once into noiseless steps."""
 
     def __init__(self, name: str, n_params: int, circuits: list[Circuit],
-                 gates: dict[str, Callable[[np.ndarray], np.ndarray]]):
+                 gates: dict[str, Callable[[np.ndarray], np.ndarray] | np.ndarray]):
         qubits = {c.n_qubits for c in circuits}
         if len(qubits) != 1:
             raise ValueError("a family needs circuits that share one qubit count")
@@ -112,6 +130,9 @@ class CircuitFamily:
         self.circuits = circuits
         self.n_qubits = qubits.pop()
         self._gates = gates
+        for gate, u in gates.items():
+            if isinstance(u, np.ndarray) and u.flags.writeable:
+                raise ValueError(f"fixed gate {gate!r} must be a read-only matrix")
         try:
             dims = {g: len(self.gate_unitary(g, np.zeros(n_params))) for g in gates}
         except IndexError as exc:
@@ -122,9 +143,66 @@ class CircuitFamily:
                     raise ValueError(f"family {name!r} has no gate {op.name!r}")
                 if dims[op.name] != 2**len(op.targets):
                     raise ValueError(f"gate {op.name!r} does not act on {len(op.targets)} qubit(s)")
+        widest = max(dims.values(), default=1).bit_length() - 1
+        # keyed by id for a cheap per-shot lookup; each entry holds its circuit, so the id stays its own
+        self._plans = {id(c): (c, self._plan(c, widest)) for c in circuits}
 
     def gate_unitary(self, name: str, deltas: np.ndarray) -> np.ndarray:
-        return self._gates[name](deltas)
+        gate = self._gates[name]
+        return gate if isinstance(gate, np.ndarray) else gate(deltas)
+
+    def plan(self, circuit: Circuit) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
+        """The gate names a noiseless shot of ``circuit`` builds, and the steps
+        of one repetition: (read-only matrix, view dims) for a precomposed
+        run of fixed ops, (name, targets) for every other op."""
+        entry = self._plans.get(id(circuit))
+        if entry is None:
+            entry = next((e for e in self._plans.values() if e[0] == circuit), None)
+            if entry is None:
+                raise ValueError(f"circuit is not one of family {self.name!r}'s circuits")
+        return entry[1]
+
+    def _plan(self, circuit: Circuit, widest: int) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
+        steps, run = [], []
+        for op in circuit.ops:
+            if isinstance(self._gates[op.name], np.ndarray):
+                if run and _span(run + [op])[1] > widest:
+                    steps.append(self._compose(run))
+                    run = []
+                if _span([op])[1] <= widest:
+                    run.append(op)
+                    continue
+            if run:
+                steps.append(self._compose(run))
+                run = []
+            steps.append((op.name, op.targets))
+        if run:
+            steps.append(self._compose(run))
+        names = tuple(dict.fromkeys(key for key, _ in steps if isinstance(key, str)))
+        return names, tuple(steps)
+
+    def _compose(self, run: list[GateOp]) -> tuple[np.ndarray, tuple[int, int, int]]:
+        """The product of fixed ops on the block they span, as a read-only
+        matrix with its (2**t0, 2**k, rest) view dims."""
+        t0, k = _span(run)
+        columns = []
+        for j in range(1 << k):
+            state = np.zeros(1 << k, dtype=complex)
+            state[j] = 1.0
+            for op in run:  # simcore's own name, so a wrapped circuits.apply_unitary sees shots only
+                state = simcore.apply_unitary(state, self._gates[op.name], [t - t0 for t in op.targets])
+            columns.append(state)
+        u = np.array(columns).T.copy()
+        u.flags.writeable = False
+        return u, (1 << t0, 1 << k, 1 << (self.n_qubits - t0 - k))
+
+
+def _span(ops: list[GateOp]) -> tuple[int, int]:
+    """(first qubit, width) of the contiguous block the targets of ``ops`` span."""
+    qubits = [t for op in ops for t in op.targets]
+    if not qubits:
+        return 0, 0
+    return min(qubits), max(qubits) - min(qubits) + 1
 
 
 GX_GATES = {"gx": lambda d: gates.gx(d[0])}
@@ -139,8 +217,8 @@ _GX0.flags.writeable = False
 
 CZ_GATES = {
     "cz": lambda d: gates.cz(d[0], d[1], d[2]),
-    "gx0": lambda d: _GX0,
-    "h": lambda d: gates.HADAMARD,
+    "gx0": _GX0,
+    "h": gates.HADAMARD,
 }
 
 
@@ -182,14 +260,26 @@ def cz_family(reps: int = 1) -> CircuitFamily:
 def final_state(circuit: Circuit, family: CircuitFamily, deltas: np.ndarray,
                 noise: NoiseParams = NoiseParams(), rng: Generator | None = None) -> np.ndarray:
     """The state before measurement, depolarized after each gate and before
-    measurement as ``noise`` says; each distinct gate is built once."""
-    built = {name: family.gate_unitary(name, deltas) for name in circuit.gate_names}
-    state = zero_state(circuit.n_qubits)
-    for _ in range(circuit.reps):
-        for op in circuit.ops:
-            state = apply_unitary(state, built[op.name], op.targets)
-            if noise.p > 0:
+    measurement as ``noise`` says; each gate a shot applies by name is built once."""
+    if rng is None and (noise.p > 0 or noise.p_spam > 0):
+        raise ValueError("a noisy shot needs an rng")
+    names, steps = family.plan(circuit)
+    if noise.p > 0:
+        built = {name: family.gate_unitary(name, deltas) for name in circuit.gate_names}
+        state = zero_state(circuit.n_qubits)
+        for _ in range(circuit.reps):
+            for op in circuit.ops:
+                state = apply_unitary(state, built[op.name], op.targets)
                 state = apply_depolarizing(state, noise.p, op.targets, rng)
+    else:
+        built = {name: family.gate_unitary(name, deltas) for name in names}
+        state = zero_state(circuit.n_qubits)
+        for _ in range(circuit.reps):
+            for key, where in steps:
+                if type(key) is str:
+                    state = apply_unitary(state, built[key], where)
+                else:
+                    state = apply_block(state, key, where)
     if noise.p_spam > 0:
         state = apply_depolarizing(state, noise.p_spam, tuple(range(circuit.n_qubits)), rng)
     return state

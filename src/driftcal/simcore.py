@@ -17,11 +17,17 @@ Conventions, fixed once here and relied on everywhere else:
 - Global phase is ignored; state equality is tested via |<psi|phi>|.
 
 All operations are pure functions of (state, rng); callers own their states
-and rng streams, so trajectories can run fully in parallel.  Every call checks
-its input (state length, targets, gate dimension, norm).  The kernel makes no
-LAPACK call and composes no gates.  A gate on one ascending block of qubits
-t0..t0+k-1 is multiplied into the state through a reshaped (2**t0, 2**k, rest)
-view, with no transposed copy; other target orders go through a transpose.
+and rng streams, so trajectories can run fully in parallel.  Every public call
+but one checks its input (state length, targets, gate dimension, norm).  The
+kernel makes no LAPACK call and composes no gates.
+
+``apply_unitary`` is the checked wrapper: it checks the state, targets and
+gate, then multiplies a gate on one ascending block of qubits t0..t0+k-1 into
+the state through ``apply_block``, the unchecked core, which views the state
+as (2**t0, 2**k, rest) with no transposed copy; other target orders go
+through a transpose.  ``apply_block`` checks nothing: its caller vouches for
+the gate and the view dims once, as ``circuits`` does for the steps it plans
+when a family is built.
 """
 from __future__ import annotations
 
@@ -61,14 +67,21 @@ def apply_unitary(state: np.ndarray, u: np.ndarray, targets: list[int] | tuple[i
     if u.shape != (1 << k, 1 << k):
         raise ValueError(f"unitary dim {u.shape} does not match {k} targets")
     t0 = targets[0] if k else 0
-    if targets == tuple(range(t0, t0 + k)):  # one ascending block: axes (qubits before, block, after)
-        return (u @ state.reshape(1 << t0, 1 << k, -1)).reshape(-1)
+    if targets == tuple(range(t0, t0 + k)):
+        return apply_block(state, u, (1 << t0, 1 << k, -1))
     shape = (2,) * n
     order = targets + tuple(ax for ax in range(n) if ax not in targets)
     psi = u @ state.reshape(shape).transpose(order).reshape(1 << k, -1)
     out = np.empty(len(state), psi.dtype)  # psi's dtype: a real state times a complex u is complex
     out.reshape(shape).transpose(order)[...] = psi.reshape(shape)
     return out
+
+
+def apply_block(state: np.ndarray, u: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
+    """Unchecked core of ``apply_unitary``: ``u`` on qubits t0..t0+k-1, where
+    ``dims`` = (2**t0, 2**k, rest) splits the state into (qubits before,
+    block, after); returns a new state."""
+    return (u @ state.reshape(dims)).reshape(-1)
 
 
 def apply_depolarizing(state: np.ndarray, p: float, targets: list[int] | tuple[int, ...], rng: Generator) -> np.ndarray:

@@ -4,7 +4,8 @@ The density-matrix channel, the Pauli-transfer-matrix algebra, the
 matrix-exponential gate constructions and the variance recursion here are
 deliberately separate implementations from the package's
 statevector/closed-form paths, so every comparison is a genuine dual-route
-check.  The Pauli table and label parser are the tests' own too: X and Z
+check; ``op_by_op_state`` is the dense reference for a circuit's planned
+steps.  The Pauli table and label parser are the tests' own too: X and Z
 are written out and Y is built as iXZ, so a wrong Pauli in the package's
 depolarization cannot cancel out of a comparison.  The state overlap, the
 unitarity check and the per-id random streams are helpers only the tests
@@ -85,6 +86,17 @@ def embed_unitary(u: np.ndarray, targets: list[int], n: int) -> np.ndarray:
             row = sum(b << (n - 1 - q) for q, b in enumerate(new_bits))
             full[row, col] += amp
     return full
+
+
+def op_by_op_state(ops, reps: int, n_qubits: int, unitary) -> np.ndarray:
+    """|0...0> through each op's dense embedding in turn, ``reps`` times over;
+    ``unitary(name)`` gives an op's matrix and ``ops`` holds (name, targets) pairs."""
+    state = np.zeros(2**n_qubits, dtype=complex)
+    state[0] = 1.0
+    for _ in range(reps):
+        for name, targets in ops:
+            state = embed_unitary(unitary(name), list(targets), n_qubits) @ state
+    return state
 
 
 def _pauli_basis(n_qubits: int) -> list[np.ndarray]:

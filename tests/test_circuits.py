@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import stream
+from conftest import op_by_op_state, stream
 from driftcal import gates
 from driftcal.circuits import (
     CZ_GATES,
@@ -20,6 +20,7 @@ from driftcal.circuits import (
     exact_distribution,
     final_state,
     gx_family,
+    gx_power,
     gxgy_family,
     pseudoinverse_estimate,
     run_circuit,
@@ -106,7 +107,23 @@ def test_circuit_validation():
         Circuit((GateOp("gx", (0,)),), 1, reps=1.5)
     with pytest.raises(ValueError, match="n_qubits"):
         Circuit((GateOp("gx", (0,)),), 1.5)
+    with pytest.raises(ValueError, match="not an integer"):
+        Circuit((GateOp("gx", (0.0,)),), 1)
     assert Circuit((GateOp("gx", (0,)),), np.int64(1), reps=np.int64(3)).reps == 3
+    assert Circuit((GateOp("gx", (np.int64(0),)),), 1).ops[0].targets == (0,)
+
+
+def test_noisy_shot_without_an_rng_raises_before_any_work(monkeypatch):
+    fam = gx_family(1)
+    built = []
+    monkeypatch.setattr(CircuitFamily, "gate_unitary", lambda self, name, d: built.append(name))
+    params = ControlParameterSet(0.0, 0.0, 1.0)
+    for noise in (NoiseParams(0.5, 0.0), NoiseParams(0.0, 0.5)):
+        with pytest.raises(ValueError, match="needs an rng"):
+            final_state(fam.circuits[0], fam, np.zeros(1), noise)
+        with pytest.raises(ValueError, match="needs an rng"):
+            run_circuit(fam.circuits[0], fam, params, noise, None)
+    assert built == []
 
 
 # =============================================================================
@@ -127,6 +144,8 @@ def test_family_rejects_circuits_that_do_not_fit_its_gate_table():
         CircuitFamily("cz", 1, cz_circuits(), CZ_GATES)
     with pytest.raises(ValueError, match="one qubit count"):
         CircuitFamily("gx", 1, [], GX_GATES)
+    with pytest.raises(ValueError, match="'h' must be a read-only matrix"):
+        CircuitFamily("cz", 3, cz_circuits(), {**CZ_GATES, "h": np.array(gates.HADAMARD)})
     assert cz_family(1).n_qubits == 2 and gx_family(1).n_qubits == 1
 
 
@@ -163,6 +182,70 @@ def test_noisy_cz_shot_builds_only_its_cz_gate(monkeypatch):
     for ci, circuit in enumerate(fam.circuits):
         run_circuit(circuit, fam, params, NoiseParams(p=0.01, p_spam=0.02), stream(6, ci))
     assert calls == []
+
+
+def test_noiseless_cz_shot_applies_three_gates_and_builds_one(monkeypatch):
+    """A noiseless cz shot multiplies its three precomposed fixed runs through
+    the unchecked core: the checked apply_unitary sees only the three cz ops."""
+    fam = cz_family(1)
+    applied, built = [], []
+    real_build = CircuitFamily.gate_unitary
+    monkeypatch.setattr("driftcal.circuits.apply_unitary",
+                        lambda *args: applied.append(args[2]) or apply_unitary(*args))
+    monkeypatch.setattr(CircuitFamily, "gate_unitary",
+                        lambda self, name, d: built.append(name) or real_build(self, name, d))
+    params = ControlParameterSet(np.full(3, 0.01), np.zeros(3), np.ones(3))
+    for ci, circuit in enumerate(fam.circuits):
+        fixed = [key for key, _ in fam.plan(circuit)[1] if not isinstance(key, str)]
+        assert len(fixed) == 3 and not any(u.flags.writeable for u in fixed)
+        applied.clear()
+        built.clear()
+        run_circuit(circuit, fam, params, NoiseParams(), stream(7, ci))
+        assert applied == [(0, 1)] * 3
+        assert built == ["cz"]
+
+
+@pytest.mark.parametrize("reps", [1, 2, 5])
+@pytest.mark.parametrize("make", [gx_family, gxgy_family, cz_family])
+def test_planned_state_matches_op_by_op_product(make, reps):
+    fam = make(reps)
+    gen = stream(8, reps)
+    for _ in range(5):
+        d = gen.uniform(-0.3, 0.3, fam.n_params)
+        for circuit in fam.circuits:
+            ops = [(op.name, op.targets) for op in circuit.ops]
+            want = op_by_op_state(ops, reps, fam.n_qubits, lambda name: fam.gate_unitary(name, d))
+            assert np.allclose(final_state(circuit, fam, d), want, rtol=0, atol=1e-12)
+
+
+def test_plan_falls_back_for_wide_runs_and_far_gates():
+    """On 3 qubits with a widest gate of 2: h(0), cx(1, 0) merge into one 4x4
+    step (cx's reversed targets composed in), h(2) would widen that run to 3
+    qubits so it starts its own, gx is not fixed, and cx(0, 2) alone spans 3
+    qubits, so both stay (name, targets) steps; h(1) ends as a 2x2 step."""
+    cx = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+    cx.flags.writeable = False
+    table = {"h": gates.HADAMARD, "cx": cx, "gx": GX_GATES["gx"]}
+    ops = (("h", (0,)), ("cx", (1, 0)), ("h", (2,)), ("gx", (1,)), ("cx", (0, 2)), ("h", (1,)))
+    circuit = Circuit(tuple(GateOp(n, t) for n, t in ops), 3, reps=2)
+    fam = CircuitFamily("hand", 1, [circuit], table)
+    names, steps = fam.plan(circuit)
+    assert names == ("gx", "cx")
+    assert [where for _, where in steps] == [(1, 4, 2), (4, 2, 1), (1,), (0, 2), (2, 2, 2)]
+    for key, _ in steps:
+        assert isinstance(key, str) or not key.flags.writeable
+    gen = stream(9, 0)
+    for _ in range(5):
+        d = gen.uniform(-0.3, 0.3, 1)
+        want = op_by_op_state(ops, 2, 3, lambda name: fam.gate_unitary(name, d))
+        assert np.allclose(final_state(circuit, fam, d), want, rtol=0, atol=1e-12)
+
+
+def test_plan_of_an_equal_circuit_and_of_a_foreign_one():
+    fam = gx_family(1)
+    assert fam.plan(gx_power(1)) is fam.plan(fam.circuits[0])
+    with pytest.raises(ValueError, match="not one of family 'gx'"):
+        final_state(gx_power(2), fam, np.zeros(1))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
