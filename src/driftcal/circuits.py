@@ -18,15 +18,16 @@ noiseless shots.  Consecutive fixed ops whose qubits span a contiguous block
 t0..t0+k-1 no wider than the family's widest gate become one step: their
 product, composed on basis states with the checked ``apply_unitary`` (so any
 target order works), kept read-only with its (2**t0, 2**k, rest) view dims.
-Every other op stays a (name, targets) step.  Since the plan was checked
-when it was made, its precomposed steps go through ``apply_block``, the
-unchecked core, and only the (name, targets) steps through the checked
-``apply_unitary``.  A gate depends only on its name and the shot's errors, so
-a noiseless shot builds each gate its (name, targets) steps name once, and a
-``cz`` shot runs three precomposed steps and three ``cz`` applies.  A shot
-with per-gate noise keeps one step per op, because depolarization follows
-every op: it builds every distinct gate of its circuit once and applies them
-op by op.  Built-in families:
+Every other op stays a (name, targets) step.  The plan's targets and
+matrices are checked once, when it is made, so its precomposed steps skip the
+per-call check and go through ``apply_block``, the unchecked core; only the
+(name, targets) steps go through the checked ``apply_unitary``.  A gate
+depends only on its name and the shot's errors, so a noiseless shot builds
+each gate that a (name, targets) step names once: a ``cz`` shot builds one
+``cz`` gate and runs three precomposed steps and three ``cz`` applies.  A
+shot with per-gate noise keeps one step per op, because depolarization
+follows every op: it builds every distinct gate of its circuit once and
+applies them op by op.  Built-in families:
 
 - ``gx_family``: one parameter; every ``gx`` op gets rotation error d[0].
   Repetition parity decides the character of the circuit: odd powers

@@ -23,8 +23,8 @@ kernel makes no LAPACK call and composes no gates.
 
 ``apply_unitary`` is the checked wrapper: it checks the state, targets and
 gate, then multiplies a gate on one ascending block of qubits t0..t0+k-1 into
-the state through ``apply_block``, the unchecked core, which views the state
-as (2**t0, 2**k, rest) with no transposed copy; other target orders go
+the state as ``apply_block``, the unchecked core, does: through a reshaped
+(2**t0, 2**k, rest) view, with no transposed copy.  Other target orders go
 through a transpose.  ``apply_block`` checks nothing: its caller vouches for
 the gate and the view dims once, as ``circuits`` does for the steps it plans
 when a family is built.
@@ -67,8 +67,8 @@ def apply_unitary(state: np.ndarray, u: np.ndarray, targets: list[int] | tuple[i
     if u.shape != (1 << k, 1 << k):
         raise ValueError(f"unitary dim {u.shape} does not match {k} targets")
     t0 = targets[0] if k else 0
-    if targets == tuple(range(t0, t0 + k)):
-        return apply_block(state, u, (1 << t0, 1 << k, -1))
+    if targets == tuple(range(t0, t0 + k)):  # apply_block's product, inline: one call less per gate
+        return (u @ state.reshape(1 << t0, 1 << k, -1)).reshape(-1)
     shape = (2,) * n
     order = targets + tuple(ax for ax in range(n) if ax not in targets)
     psi = u @ state.reshape(shape).transpose(order).reshape(1 << k, -1)
@@ -78,7 +78,7 @@ def apply_unitary(state: np.ndarray, u: np.ndarray, targets: list[int] | tuple[i
 
 
 def apply_block(state: np.ndarray, u: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
-    """Unchecked core of ``apply_unitary``: ``u`` on qubits t0..t0+k-1, where
+    """The unchecked core of ``apply_unitary``: ``u`` on qubits t0..t0+k-1, where
     ``dims`` = (2**t0, 2**k, rest) splits the state into (qubits before,
     block, after); returns a new state."""
     return (u @ state.reshape(dims)).reshape(-1)
