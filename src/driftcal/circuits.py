@@ -5,8 +5,9 @@ first) and a whole-sequence repetition count.  Circuits start from |0...0>
 and end with a computational-basis measurement.
 
 A ``CircuitFamily`` is a gate table and the probe circuits it runs.  The
-table maps a gate name to a builder of the gate's unitary from the parameter
-errors, or, for a fixed gate that reads no error, to its read-only matrix.
+table maps a gate name to a builder of the gate's unitary (a diagonal gate's
+1-D diagonal, as ``simcore`` takes it) from the parameter errors, or, for a
+fixed gate that reads no error, to its read-only matrix.
 The table is checked against the circuits when the family is built: an op
 that names a gate outside the table, or whose target count does not match the
 gate's dimension, a gate that reads more errors than the family has
@@ -24,10 +25,10 @@ per-call check and go through ``apply_block``, the unchecked core; only the
 (name, targets) steps go through the checked ``apply_unitary``.  A gate
 depends only on its name and the shot's errors, so a noiseless shot builds
 each gate that a (name, targets) step names once: a ``cz`` shot builds one
-``cz`` gate and runs three precomposed steps and three ``cz`` applies.  A
-shot with per-gate noise keeps one step per op, because depolarization
-follows every op: it builds every distinct gate of its circuit once and
-applies them op by op.  Built-in families:
+``cz`` diagonal and runs three precomposed steps and three diagonal
+multiplies.  A shot with per-gate noise keeps one step per op, because
+depolarization follows every op: it builds every distinct gate of its circuit
+once and applies them op by op.  Built-in families:
 
 - ``gx_family``: one parameter; every ``gx`` op gets rotation error d[0].
   Repetition parity decides the character of the circuit: odd powers

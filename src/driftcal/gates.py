@@ -9,8 +9,9 @@ Angle conventions:
   error ``theta`` plus an axis tilt ``phi`` away from y toward x.
 - ``cz(zi, iz, zz)`` is the diagonal two-qubit phase gate
   exp(i/2 [pi/2 I + (pi/2 + zz) Z(x)Z - (pi/2 + iz) I(x)Z - (pi/2 + zi) Z(x)I]);
-  all three angles zero gives diag(1, 1, 1, -1) up to global phase.  Qubit 0
-  is the left tensor factor.  Note the phase errors use the same half-angle
+  all three angles zero gives diag(1, 1, 1, -1) up to global phase.  It
+  returns its length-4 diagonal, not the 4x4 matrix.  Qubit 0 is the left
+  tensor factor.  Note the phase errors use the same half-angle
   convention as the single-qubit gates: every gate here is
   exp(i/2 (ideal + error) * generator).
 - ``HADAMARD`` is the one fixed gate, a read-only module constant.
@@ -71,13 +72,12 @@ def gy(theta: float, phi: float = 0.0) -> np.ndarray:
 
 
 def cz(zi: float = 0.0, iz: float = 0.0, zz: float = 0.0) -> np.ndarray:
-    """Diagonal controlled-phase gate with three tunable phase errors."""
+    """Diagonal controlled-phase gate with three tunable phase errors, as its
+    diagonal over basis indices 00, 01, 10, 11."""
     a, b, c = pi / 2 + zi, pi / 2 + iz, pi / 2 + zz
     # pi/2 + c Z0Z1 - b Z1 - a Z0 at basis indices 00, 01, 10, 11
     phase = np.array([pi / 2 + c - b - a, pi / 2 - c + b - a, pi / 2 - c - b + a, pi / 2 + c + b + a])
-    u = np.zeros((4, 4), dtype=complex)
-    u.flat[::5] = np.exp(0.5j * phase)  # the diagonal
-    return u
+    return np.exp(0.5j * phase)
 
 
 def entanglement_infidelity(w: np.ndarray, v: np.ndarray) -> float:

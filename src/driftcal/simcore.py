@@ -21,13 +21,16 @@ and rng streams, so trajectories can run fully in parallel.  Every public call
 but one checks its input (state length, targets, gate dimension, norm).  The
 kernel makes no LAPACK call and composes no gates.
 
-``apply_unitary`` is the checked wrapper: it checks the state, targets and
-gate, then multiplies a gate on one ascending block of qubits t0..t0+k-1 into
-the state as ``apply_block``, the unchecked core, does: through a reshaped
-(2**t0, 2**k, rest) view, with no transposed copy.  Other target orders go
-through a transpose.  ``apply_block`` checks nothing: its caller vouches for
-the gate and the view dims once, as ``circuits`` does for the steps it plans
-when a family is built.
+A gate on k targets is a square (2**k, 2**k) matrix or, for a diagonal gate,
+its 1-D diagonal of length 2**k.  ``apply_unitary`` is the checked wrapper: it
+checks the state, targets and gate.  A diagonal on the whole register, targets
+in order, multiplies the state elementwise; on other targets it goes through
+``np.diag`` to the square path.  That multiplies a gate on one ascending block
+of qubits t0..t0+k-1 into the state as ``apply_block``, the unchecked core,
+does: through a reshaped (2**t0, 2**k, rest) view, with no transposed copy.
+Other target orders go through a transpose.  ``apply_block`` checks nothing:
+its caller vouches for the gate and the view dims once, as ``circuits`` does
+for the steps it plans when a family is built.
 """
 from __future__ import annotations
 
@@ -65,7 +68,11 @@ def apply_unitary(state: np.ndarray, u: np.ndarray, targets: list[int] | tuple[i
     if k and not (0 <= min(targets) and max(targets) < n):
         raise IndexError(f"target out of range for {n} qubits: {targets}")
     if u.shape != (1 << k, 1 << k):
-        raise ValueError(f"unitary dim {u.shape} does not match {k} targets")
+        if u.shape != (1 << k,):
+            raise ValueError(f"unitary dim {u.shape} does not match {k} targets")
+        if targets == tuple(range(n)):  # a diagonal on the whole register, in order
+            return u * state
+        u = np.diag(u)
     t0 = targets[0] if k else 0
     if targets == tuple(range(t0, t0 + k)):  # apply_block's product, inline: one call less per gate
         return (u @ state.reshape(1 << t0, 1 << k, -1)).reshape(-1)

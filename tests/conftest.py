@@ -68,7 +68,10 @@ def unitary_density(rho: np.ndarray, u: np.ndarray, targets: list[int], n: int) 
 
 
 def embed_unitary(u: np.ndarray, targets: list[int], n: int) -> np.ndarray:
-    """Dense n-qubit embedding of ``u`` acting on ``targets``."""
+    """Dense n-qubit embedding of ``u`` acting on ``targets``; a 1-D ``u`` is a
+    diagonal gate's diagonal."""
+    if u.ndim == 1:
+        u = np.diag(u)
     dim = 2**n
     full = np.zeros((dim, dim), dtype=complex)
     k = len(targets)

@@ -186,12 +186,13 @@ def test_noisy_cz_shot_builds_only_its_cz_gate(monkeypatch):
 
 def test_noiseless_cz_shot_applies_three_gates_and_builds_one(monkeypatch):
     """A noiseless cz shot multiplies its three precomposed fixed runs through
-    the unchecked core: the checked apply_unitary sees only the three cz ops."""
+    the unchecked core: the checked apply_unitary sees only the three cz ops,
+    each an elementwise multiply by the one cz diagonal the shot builds."""
     fam = cz_family(1)
     applied, built = [], []
     real_build = CircuitFamily.gate_unitary
     monkeypatch.setattr("driftcal.circuits.apply_unitary",
-                        lambda *args: applied.append(args[2]) or apply_unitary(*args))
+                        lambda *args: applied.append((args[1].shape, args[2])) or apply_unitary(*args))
     monkeypatch.setattr(CircuitFamily, "gate_unitary",
                         lambda self, name, d: built.append(name) or real_build(self, name, d))
     params = ControlParameterSet(np.full(3, 0.01), np.zeros(3), np.ones(3))
@@ -201,8 +202,32 @@ def test_noiseless_cz_shot_applies_three_gates_and_builds_one(monkeypatch):
         applied.clear()
         built.clear()
         run_circuit(circuit, fam, params, NoiseParams(), stream(7, ci))
-        assert applied == [(0, 1)] * 3
+        assert applied == [((4,), (0, 1))] * 3
         assert built == ["cz"]
+
+
+@pytest.mark.parametrize("reps", [1, 2, 5, 21])
+def test_dense_and_diagonal_cz_agree(reps):
+    """A family whose cz entry is the dense np.diag of the diagonal runs the
+    square kernel path; its states, distributions and Jacobian agree with
+    cz_family's elementwise path.  The two paths round each cz multiply
+    differently, so away from zero error the states part by roundoff that
+    grows with the repetitions (at most 2.1e-15 over 500 draws at r=21),
+    bounded here by 1e-15 per repetition; the zero-error Jacobian is exact."""
+    table = {**CZ_GATES, "cz": lambda d: np.diag(gates.cz(d[0], d[1], d[2]))}
+    dense, diag = CircuitFamily("cz", 3, cz_circuits(reps), table), cz_family(reps)
+    gen = stream(12, reps)
+    for _ in range(5):
+        d = gen.uniform(-0.3, 0.3, 3)
+        for c_dense, c_diag in zip(dense.circuits, diag.circuits):
+            assert np.allclose(final_state(c_dense, dense, d), final_state(c_diag, diag, d),
+                               rtol=0, atol=1e-15 * reps)
+            assert np.allclose(exact_distribution(c_dense, dense, d), exact_distribution(c_diag, diag, d),
+                               rtol=0, atol=1e-15 * reps)
+    jd, jg = build_jacobian(dense.circuits, dense), build_jacobian(diag.circuits, diag)
+    assert jd.rank == jg.rank
+    assert np.allclose(jd.matrix, jg.matrix, rtol=0, atol=1e-15)
+    assert np.allclose(jd.pinv, jg.pinv, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("reps", [1, 2, 5])
@@ -258,8 +283,12 @@ def test_table_gates_are_unitary_and_states_normalized(deltas, reps):
         for ci, circuit in enumerate(fam.circuits):
             for op in circuit.ops:
                 u = fam.gate_unitary(op.name, d)
-                assert u.shape == (2**len(op.targets),) * 2
-                assert np.allclose(u.conj().T @ u, np.eye(len(u)), atol=1e-12)
+                if u.ndim == 1:  # a diagonal gate's diagonal: unit-modulus entries
+                    assert u.shape == (2**len(op.targets),)
+                    assert np.allclose(np.abs(u), 1.0, rtol=0, atol=1e-12)
+                else:
+                    assert u.shape == (2**len(op.targets),) * 2
+                    assert np.allclose(u.conj().T @ u, np.eye(len(u)), atol=1e-12)
             for state in (final_state(circuit, fam, d),
                           final_state(circuit, fam, d, noise, stream(5, ci))):
                 assert np.vdot(state, state).real == pytest.approx(1.0, abs=1e-12)

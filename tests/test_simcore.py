@@ -1,5 +1,5 @@
 """Statevector kernel tests: gate application, noise unraveling, measurement."""
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -70,6 +70,9 @@ def test_apply_unitary_rejects_bad_inputs():
         apply_unitary(state, np.eye(2), [-1])
     with pytest.raises(ValueError):
         apply_unitary(state, np.eye(4), [0, 0])
+    for diag, targets in ((np.ones(2), [0, 1]), (np.ones(4), [0]), (np.ones(8), [0, 1]), (np.ones(1), [0])):
+        with pytest.raises(ValueError, match="does not match"):  # a diagonal of the wrong length
+            apply_unitary(state, diag.astype(complex), targets)
 
 
 def test_apply_unitary_with_no_targets_scales_by_the_1x1_u(rng):
@@ -121,13 +124,38 @@ def test_apply_unitary_on_every_contiguous_block_matches_dense_embedding(seed):
 
 
 def test_apply_unitary_real_state_under_complex_two_qubit_gate():
-    """A real 2-qubit state under a complex gate on the block (0, 1) comes back complex."""
+    """A real 2-qubit state under a complex gate on the block (0, 1) comes back
+    complex, as it does under a diagonal gate on any targets."""
     state = np.array([0.5, -0.5, 0.5, 0.5])
-    u = cz(0.1, -0.2, 0.3) @ np.kron(gx(0.2), gx(-0.4))
+    u = np.diag(cz(0.1, -0.2, 0.3)) @ np.kron(gx(0.2), gx(-0.4))
     out = apply_unitary(state, u, (0, 1))
     assert out.dtype == complex
     assert np.allclose(out, u @ state, rtol=0, atol=1e-15)
     assert np.abs(out.imag).max() > 0.1
+    for diag, targets in ((cz(0.1, -0.2, 0.3), (0, 1)), (cz(0.1, -0.2, 0.3), (1, 0)),
+                          (np.exp([0.3j, -0.4j]), (1,))):
+        out = apply_unitary(state, diag, targets)
+        assert out.dtype == complex and np.abs(out.imag).max() > 0.1
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0))
+def test_diagonal_gate_matches_dense_embedding_of_its_diagonal(seed):
+    """A 1-D gate is a diagonal gate's diagonal: on every target order, each
+    contiguous block included, of 1..3 qubits it matches the dense embedding
+    of np.diag(u); on the whole register, in order, it is u * state bit for bit."""
+    gen = np.random.default_rng(seed)
+    for n in range(1, 4):
+        state = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
+        state /= np.linalg.norm(state)
+        for k in range(1, n + 1):
+            u = np.exp(1j * gen.uniform(-np.pi, np.pi, 2**k))
+            for targets in permutations(range(n), k):
+                out = apply_unitary(state, u, targets)
+                expected = embed_unitary(np.diag(u), list(targets), n) @ state
+                assert np.allclose(out, expected, rtol=0, atol=1e-15), (n, targets)
+                if targets == tuple(range(n)):
+                    assert np.array_equal(out, u * state)
 
 
 @pytest.mark.parametrize("length", [0, 3, 6])
@@ -280,7 +308,7 @@ def test_deterministic_outcome_for_even_power():
 def test_sampling_matches_distribution_self_consistency():
     """Monte Carlo frequencies track outcome_distribution within 4 SE."""
     gen = stream(5, 2)
-    state = apply_unitary(zero_state(2), cz(0.0, 0.0, 0.0) @ np.kron(gx(0.3), gx(-0.1)), [0, 1])
+    state = apply_unitary(zero_state(2), np.diag(cz(0.0, 0.0, 0.0)) @ np.kron(gx(0.3), gx(-0.1)), [0, 1])
     probs = outcome_distribution(state)
     shots = 200_000
     counts = np.zeros(4)
