@@ -72,8 +72,7 @@ def gy(theta: float, phi: float = 0.0) -> np.ndarray:
 
 
 def cz(zi: float = 0.0, iz: float = 0.0, zz: float = 0.0) -> np.ndarray:
-    """Diagonal controlled-phase gate with three tunable phase errors, as its
-    diagonal over basis indices 00, 01, 10, 11."""
+    """Diagonal controlled-phase gate with three tunable phase errors, as its diagonal."""
     a, b, c = pi / 2 + zi, pi / 2 + iz, pi / 2 + zz
     # pi/2 + c Z0Z1 - b Z1 - a Z0 at basis indices 00, 01, 10, 11
     phase = np.array([pi / 2 + c - b - a, pi / 2 - c + b - a, pi / 2 - c - b + a, pi / 2 + c + b + a])
