@@ -19,16 +19,20 @@ noiseless shots.  Consecutive fixed ops whose qubits span a contiguous block
 t0..t0+k-1 no wider than the family's widest gate become one step: their
 product, composed on basis states with the checked ``apply_unitary`` (so any
 target order works), kept read-only with its (2**t0, 2**k, rest) view dims.
-Every other op stays a (name, targets) step.  The plan's targets and
-matrices are checked once, when it is made, so its precomposed steps skip the
-per-call check and go through ``apply_block``, the unchecked core; only the
-(name, targets) steps go through the checked ``apply_unitary``.  A gate
-depends only on its name and the shot's errors, so a noiseless shot builds
-each gate that a (name, targets) step names once: a ``cz`` shot builds one
-``cz`` diagonal and runs three precomposed steps and three diagonal
-multiplies.  A shot with per-gate noise keeps one step per op, because
-depolarization follows every op: it builds every distinct gate of its circuit
-once and applies them op by op.  Built-in families:
+Every other op stays a step as its own ``GateOp``, a (name, targets) pair.
+The plan's targets and matrices are checked once, when it is made, so its
+precomposed steps skip the per-call check and go through ``apply_block``, the
+unchecked core; only the named steps go through the checked ``apply_unitary``.
+
+``final_state`` runs every shot through one loop over steps.  A gate depends
+only on its name and the shot's errors, so a shot builds each gate that its
+steps name once: a noiseless ``cz`` shot builds one ``cz`` diagonal and runs
+three precomposed steps and three diagonal multiplies.  A shot with per-gate
+noise looks its circuit up in the plans too, so a foreign circuit is rejected
+either way, but runs the circuit's own ops as its steps: each named step
+applies its gate, then depolarizes its targets with probability ``p``.  A
+single depolarization with probability ``p_spam`` on all qubits follows,
+immediately before measurement.  Built-in families:
 
 - ``gx_family``: one parameter; every ``gx`` op gets rotation error d[0].
   Repetition parity decides the character of the circuit: odd powers
@@ -41,10 +45,6 @@ once and applies them op by op.  Built-in families:
 - ``cz_family``: three parameters feeding the diagonal phase gate; the
   interleaved gx(0) and Hadamard gates are fixed, read-only matrices built
   once at import, so a shot builds only its ``cz`` gate.
-
-Noisy execution applies depolarization with probability ``p`` after each
-gate, then a single depolarization with probability ``p_spam`` on all qubits
-immediately before measurement.
 
 A ``Jacobian`` is its matrix, its rank and its pseudoinverse.  Each row is
 the exact sensitivity of one (circuit, outcome) probability to the control
@@ -68,6 +68,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import Generator
@@ -78,8 +79,7 @@ from .simcore import (apply_block, apply_depolarizing, apply_unitary, measure_co
                       outcome_distribution, zero_state)
 
 
-@dataclass(frozen=True)
-class GateOp:
+class GateOp(NamedTuple):
     name: str
     targets: tuple[int, ...]
 
@@ -156,7 +156,8 @@ class CircuitFamily:
     def plan(self, circuit: Circuit) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
         """The gate names a noiseless shot of ``circuit`` builds, and the steps
         of one repetition: (read-only matrix, view dims) for a precomposed
-        run of fixed ops, (name, targets) for every other op."""
+        run of fixed ops, the ``GateOp`` itself for every other op; a
+        circuit that is not one of the family's raises ``ValueError``."""
         entry = self._plans.get(id(circuit))
         if entry is None:
             entry = next((e for e in self._plans.values() if e[0] == circuit), None)
@@ -177,7 +178,7 @@ class CircuitFamily:
             if run:
                 steps.append(self._compose(run))
                 run = []
-            steps.append((op.name, op.targets))
+            steps.append(op)
         if run:
             steps.append(self._compose(run))
         names = tuple(dict.fromkeys(key for key, _ in steps if isinstance(key, str)))
@@ -263,25 +264,24 @@ def final_state(circuit: Circuit, family: CircuitFamily, deltas: np.ndarray,
                 noise: NoiseParams = NoiseParams(), rng: Generator | None = None) -> np.ndarray:
     """The state before measurement, depolarized after each gate and before
     measurement as ``noise`` says; each gate a shot applies by name is built once."""
-    if rng is None and (noise.p > 0 or noise.p_spam > 0):
+    if len(deltas) != family.n_params:
+        raise ValueError("parameter count does not match circuit family")
+    p = noise.p
+    if rng is None and (p > 0 or noise.p_spam > 0):
         raise ValueError("a noisy shot needs an rng")
-    names, steps = family.plan(circuit)
-    if noise.p > 0:
-        built = {name: family.gate_unitary(name, deltas) for name in circuit.gate_names}
-        state = zero_state(circuit.n_qubits)
-        for _ in range(circuit.reps):
-            for op in circuit.ops:
-                state = apply_unitary(state, built[op.name], op.targets)
-                state = apply_depolarizing(state, noise.p, op.targets, rng)
-    else:
-        built = {name: family.gate_unitary(name, deltas) for name in names}
-        state = zero_state(circuit.n_qubits)
-        for _ in range(circuit.reps):
-            for key, where in steps:
-                if type(key) is str:
-                    state = apply_unitary(state, built[key], where)
-                else:
-                    state = apply_block(state, key, where)
+    names, steps = family.plan(circuit)  # rejects a circuit that is not one of the family's
+    if p > 0:  # depolarization follows every op, so each op is its own step
+        names, steps = circuit.gate_names, circuit.ops
+    built = {name: family.gate_unitary(name, deltas) for name in names}
+    state = zero_state(circuit.n_qubits)
+    for _ in range(circuit.reps):
+        for key, where in steps:
+            if type(key) is str:
+                state = apply_unitary(state, built[key], where)
+                if p > 0:
+                    state = apply_depolarizing(state, p, where, rng)
+            else:
+                state = apply_block(state, key, where)
     if noise.p_spam > 0:
         state = apply_depolarizing(state, noise.p_spam, tuple(range(circuit.n_qubits)), rng)
     return state
@@ -295,10 +295,7 @@ def exact_distribution(circuit: Circuit, family: CircuitFamily, deltas: np.ndarr
 def run_circuit(circuit: Circuit, family: CircuitFamily, params: ControlParameterSet,
                 noise: NoiseParams, rng: Generator) -> str:
     """One sampled shot with per-gate and pre-measurement depolarization."""
-    deltas = params.deltas
-    if len(deltas) != family.n_params:
-        raise ValueError("parameter count does not match circuit family")
-    return measure_computational(final_state(circuit, family, deltas, noise, rng), rng)
+    return measure_computational(final_state(circuit, family, params.deltas, noise, rng), rng)
 
 
 @dataclass

@@ -80,6 +80,8 @@ class DriftBatch:
         if not all(isinstance(x, (int, np.integer)) and x >= 1 for x in (n_traj, m)):
             raise ValueError("n_traj and m must be integers >= 1")
         eta = np.broadcast_to(eta_opt0, (n_traj, m)).astype(float)
+        if not np.isfinite(eta).all():
+            raise ValueError("eta_opt0 must be finite")
         batch = cls(spec=spec, eta_opt=eta, start=eta.copy())
         if spec.kind == "composite":
             batch.sub = [cls.init(p, n_traj, m, 0.0) for p in spec.parts]

@@ -5,7 +5,8 @@ matrix-exponential gate constructions and the variance recursion here are
 deliberately separate implementations from the package's
 statevector/closed-form paths, so every comparison is a genuine dual-route
 check; ``op_by_op_state`` is the dense reference for a circuit's planned
-steps.  The Pauli table and label parser are the tests' own too: X and Z
+steps, and ``noisy_op_by_op_state`` the Pauli-unraveling reference for a noisy
+shot, draw for draw.  The Pauli table and label parser are the tests' own too: X and Z
 are written out and Y is built as iXZ, so a wrong Pauli in the package's
 depolarization cannot cancel out of a comparison.  The state overlap, the
 unitarity check and the per-id random streams are helpers only the tests
@@ -49,17 +50,22 @@ def density_from_state(state: np.ndarray) -> np.ndarray:
 
 def depolarize_density(rho: np.ndarray, p: float, targets: list[int], n: int) -> np.ndarray:
     """Exact depolarizing channel on ``targets`` of an n-qubit density matrix."""
-    k = len(targets)
     twirl = np.zeros_like(rho)
-    letters = "IXYZ"
-    for which in range(4**k):
-        label = ["I"] * n
-        for j, t in enumerate(targets):
-            label[t] = letters[(which >> (2 * (k - 1 - j))) & 3]
-        pmat = pauli_matrix("".join(label))
+    for which in range(4 ** len(targets)):
+        pmat = _pauli_on(which, targets, n)
         twirl += pmat @ rho @ pmat.conj().T
-    twirl /= 4**k
+    twirl /= 4 ** len(targets)
     return (1.0 - p) * rho + p * twirl
+
+
+def _pauli_on(which: int, targets, n: int) -> np.ndarray:
+    """The n-qubit Pauli whose base-4 digits of ``which``, most significant
+    first, give I, X, Y or Z on ``targets`` in order."""
+    k = len(targets)
+    label = ["I"] * n
+    for j, t in enumerate(targets):
+        label[t] = "IXYZ"[(which >> (2 * (k - 1 - j))) & 3]
+    return pauli_matrix("".join(label))
 
 
 def unitary_density(rho: np.ndarray, u: np.ndarray, targets: list[int], n: int) -> np.ndarray:
@@ -94,12 +100,29 @@ def embed_unitary(u: np.ndarray, targets: list[int], n: int) -> np.ndarray:
 def op_by_op_state(ops, reps: int, n_qubits: int, unitary) -> np.ndarray:
     """|0...0> through each op's dense embedding in turn, ``reps`` times over;
     ``unitary(name)`` gives an op's matrix and ``ops`` holds (name, targets) pairs."""
+    return noisy_op_by_op_state(ops, reps, n_qubits, unitary, 0.0, 0.0, None)
+
+
+def noisy_op_by_op_state(ops, reps: int, n_qubits: int, unitary, p: float, p_spam: float,
+                         rng: Generator | None) -> np.ndarray:
+    """``op_by_op_state`` with depolarization unraveled as simcore documents
+    it: after each op with probability ``p`` on its targets, then once with
+    probability ``p_spam`` on all qubits.  A nonzero probability draws one
+    ``rng.random()``; below it, one ``rng.integers(4**k)`` picks the Pauli on
+    the k targets, its base-4 digits taken most significant first."""
     state = np.zeros(2**n_qubits, dtype=complex)
     state[0] = 1.0
     for _ in range(reps):
         for name, targets in ops:
             state = embed_unitary(unitary(name), list(targets), n_qubits) @ state
-    return state
+            state = _unravel(state, p, list(targets), n_qubits, rng)
+    return _unravel(state, p_spam, list(range(n_qubits)), n_qubits, rng)
+
+
+def _unravel(state: np.ndarray, p: float, targets: list[int], n: int, rng: Generator | None) -> np.ndarray:
+    if p == 0 or rng.random() >= p:
+        return state
+    return _pauli_on(int(rng.integers(4 ** len(targets))), targets, n) @ state
 
 
 def _pauli_basis(n_qubits: int) -> list[np.ndarray]:

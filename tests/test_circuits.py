@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import op_by_op_state, stream
+from conftest import noisy_op_by_op_state, op_by_op_state, stream
 from driftcal import gates
 from driftcal.circuits import (
     CZ_GATES,
@@ -80,9 +80,14 @@ def test_run_circuit_rejects_mismatched_params():
     gen = stream(1, 3)
     with pytest.raises(ValueError):
         run_circuit(fam.circuits[0], fam, ControlParameterSet(0.0, 0.0, 1.0), NoiseParams(), gen)
+    for fam, deltas in ((gx_family(1), np.full(2, 0.1)), (cz_family(1), np.full(1, 0.1))):
+        with pytest.raises(ValueError, match="parameter count"):
+            final_state(fam.circuits[0], fam, deltas)
+        with pytest.raises(ValueError, match="parameter count"):
+            exact_distribution(fam.circuits[0], fam, deltas)
 
 
-def test_noise_placement_options_run():
+def test_noisy_run_gives_one_bit_and_noise_is_checked():
     """A noisy run (depolarization after each gate and before measurement)."""
     fam = gx_family(5)
     params = ControlParameterSet(0.1, 0.0, 1.0)
@@ -271,6 +276,26 @@ def test_plan_of_an_equal_circuit_and_of_a_foreign_one():
     assert fam.plan(gx_power(1)) is fam.plan(fam.circuits[0])
     with pytest.raises(ValueError, match="not one of family 'gx'"):
         final_state(gx_power(2), fam, np.zeros(1))
+    with pytest.raises(ValueError, match="not one of family 'gx'"):
+        final_state(gx_power(2), fam, np.zeros(1), NoiseParams(p=0.1), stream(9, 1))
+
+
+@pytest.mark.parametrize("make, reps", [(gx_family, 21), (gxgy_family, 1), (cz_family, 1), (cz_family, 2)])
+def test_noisy_shot_matches_the_unraveling_oracle_draw_for_draw(make, reps):
+    """A noisy shot walks its circuit op by op, depolarizing after each op
+    and before measurement with exactly the oracle's draws: the states agree
+    and both streams stop at the same place."""
+    fam = make(reps)
+    noise = NoiseParams(p=0.3, p_spam=0.3)
+    for seed in range(6):
+        d = stream(14, seed).uniform(-0.3, 0.3, fam.n_params)
+        for ci, circuit in enumerate(fam.circuits):
+            got_rng, want_rng = stream(seed, ci), stream(seed, ci)
+            got = final_state(circuit, fam, d, noise, got_rng)
+            want = noisy_op_by_op_state(circuit.ops, reps, fam.n_qubits, lambda name: fam.gate_unitary(name, d),
+                                        noise.p, noise.p_spam, want_rng)
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+            assert got_rng.random() == want_rng.random()
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

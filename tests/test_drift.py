@@ -65,7 +65,8 @@ def test_every_kind_drifts_about_its_own_start():
 def test_init_start_must_broadcast_to_ensemble_shape():
     """A start of length n_traj with m=1 is rejected; an (n_traj, 1) column is
     kept; an ensemble with no trajectory, no parameter or a count that is not
-    an integer is rejected; numpy integer counts build."""
+    an integer is rejected; numpy integer counts build; a NaN or infinite
+    start is rejected."""
     spec = DriftSpec(kind="random_walk", step=0.1)
     for n_traj, m in ((0, 1), (1, 0), (-1, 2), (1.5, 1), (1, 2.5), (float("nan"), 1)):
         with pytest.raises(ValueError):
@@ -80,6 +81,10 @@ def test_init_start_must_broadcast_to_ensemble_shape():
     batch.step(ensemble_generator(5))   # steps a copy, not the caller's array
     assert np.array_equal(start[:, 0], [0.1, 0.2, 0.3])
     assert not np.array_equal(batch.eta_opt, start)
+    for bad in (np.nan, np.inf, -np.inf):
+        for start in (bad, np.array([[0.1], [bad], [0.3]])):
+            with pytest.raises(ValueError, match="finite"):
+                DriftBatch.init(spec, 3, 1, start)
 
 
 def test_random_walk_variance_grows_linearly():
