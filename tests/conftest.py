@@ -5,12 +5,12 @@ matrix-exponential gate constructions and the variance recursion here are
 deliberately separate implementations from the package's
 statevector/closed-form paths, so every comparison is a genuine dual-route
 check; ``op_by_op_state`` is the dense reference for a circuit's planned
-steps, and ``noisy_op_by_op_state`` the Pauli-unraveling reference for a noisy
-shot, draw for draw.  The Pauli table and label parser are the tests' own too: X and Z
-are written out and Y is built as iXZ, so a wrong Pauli in the package's
-depolarization cannot cancel out of a comparison.  The state overlap, the
-unitarity check and the per-id random streams are helpers only the tests
-use.
+steps, and ``noisy_op_by_op_state`` the Pauli-unraveling reference for a
+noisy shot, draw for draw.  The Pauli table and label parser are the tests'
+own too: X and Z are written out and Y is built as iXZ, so a wrong Pauli in
+the package's depolarization cannot cancel out of a comparison.  The state
+overlap, the unitarity check and the per-id random streams are helpers only
+the tests use.
 
 Transfer matrices use the normalized Pauli basis (they are real); one-qubit
 depolarization is diag(1, 1-p, 1-p, 1-p), which keeps unitary transfer
