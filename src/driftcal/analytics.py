@@ -39,11 +39,11 @@ def _check_gain(gain: float) -> None:
 
 
 def _check_sensitivity(s: float, step: float) -> None:
-    """The closed forms need s > 0 and a drift step >= 0; NaN fails both."""
-    if not s > 0:
-        raise ValueError("s must be > 0")
-    if not step >= 0:
-        raise ValueError("step must be >= 0")
+    """The closed forms need a finite s > 0 and a finite drift step >= 0; NaN fails both."""
+    if not 0 < s < np.inf:
+        raise ValueError("s must be finite and > 0")
+    if not 0 <= step < np.inf:
+        raise ValueError("step must be finite and >= 0")
 
 
 def predict_mean(mu0: float, gain: float, t: int | np.ndarray):

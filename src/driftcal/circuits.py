@@ -17,8 +17,8 @@ mid-run.
 The family also plans each circuit once, at build, into a step list for
 noiseless shots.  Consecutive fixed ops whose qubits span a contiguous block
 t0..t0+k-1 no wider than the family's widest gate become one step: their
-product, composed on basis states with the checked ``apply_unitary`` (so any
-target order works), kept read-only with its (2**t0, 2**k, rest) view dims.
+product, composed on a stack of basis states with the checked ``apply_unitary``
+(so any target order works), kept read-only with its (2**k, rest) view dims.
 Every other op stays a step as its own ``GateOp``, a (name, targets) pair.
 The plan's targets and matrices are checked once, when it is made, so its
 precomposed steps skip the per-call check and go through ``apply_block``, the
@@ -49,11 +49,11 @@ immediately before measurement.  Built-in families:
 A ``Jacobian`` is its matrix, its rank and its pseudoinverse.  Each row is
 the exact sensitivity of one (circuit, outcome) probability to the control
 parameters at zero error, from one noiseless pass per circuit that carries
-psi and its tangents dpsi_j: per op, dpsi_j <- U dpsi_j + dU_j psi, then
-psi <- U psi, with the dU_j psi term skipped where dU_j is exactly zero, as
-for a gate that does not read d_j; the row entries are 2 Re(conj(psi)
-dpsi_j).  Each gate's dU_j comes from its own builder by the two-shift
-parameter-shift rule
+psi and its tangents dpsi_j as one (m + 1, 2**n) stack: per op, one call
+maps it to U psi, U dpsi_j, then one call per j adds dU_j psi to dpsi_j,
+skipped where dU_j is exactly zero, as for a gate that does not read d_j;
+the row entries are 2 Re(conj(psi) dpsi_j).  Each gate's dU_j comes from its
+own builder by the two-shift parameter-shift rule
 dU_j = [U(pi/2 e_j) - U(-pi/2 e_j)]/2 + (1 - sqrt 2)/4 [U(pi e_j) - U(-pi e_j)],
 exact for entries with only frequencies 0, 1/2 and 1 in each error, as in
 every gate above.  Rows are grouped by circuit, in the order given, outcomes
@@ -184,20 +184,16 @@ class CircuitFamily:
         names = tuple(dict.fromkeys(key for key, _ in steps if isinstance(key, str)))
         return names, tuple(steps)
 
-    def _compose(self, run: list[GateOp]) -> tuple[np.ndarray, tuple[int, int, int]]:
-        """The product of fixed ops on the block they span, as a read-only
-        matrix with its (2**t0, 2**k, rest) view dims."""
+    def _compose(self, run: list[GateOp]) -> tuple[np.ndarray, tuple[int, int]]:
+        """The product of fixed ops on the block they span, as a read-only matrix
+        with its (2**k, rest) view dims; a stack of basis states makes one call per op."""
         t0, k = _span(run)
-        columns = []
-        for j in range(1 << k):
-            state = np.zeros(1 << k, dtype=complex)
-            state[j] = 1.0
-            for op in run:  # simcore's own name, so a wrapped circuits.apply_unitary sees shots only
-                state = simcore.apply_unitary(state, self._gates[op.name], [t - t0 for t in op.targets])
-            columns.append(state)
-        u = np.array(columns).T.copy()
+        rows = np.eye(1 << k, dtype=complex)
+        for op in run:  # simcore's own name, so a wrapped circuits.apply_unitary sees shots only
+            rows = simcore.apply_unitary(rows, self._gates[op.name], [t - t0 for t in op.targets])
+        u = rows.T.copy()
         u.flags.writeable = False
-        return u, (1 << t0, 1 << k, 1 << (self.n_qubits - t0 - k))
+        return u, (1 << k, 1 << (self.n_qubits - t0 - k))
 
 
 def _span(ops: list[GateOp]) -> tuple[int, int]:
@@ -319,22 +315,23 @@ def build_jacobian(circuits: list[Circuit], family: CircuitFamily) -> Jacobian:
     if not circuits:
         raise ValueError("need at least one circuit")
     m = family.n_params
-    built = {}  # gate name -> (U, [dU_j]) at zero error, dU_j by the two-shift rule
+    built = {}  # gate name -> (U, [(j, dU_j) if dU_j is nonzero]) at zero error, by the two-shift rule
     for name in dict.fromkeys(n for c in circuits for n in c.gate_names):
         shifted = [[family.gate_unitary(name, a * e) for a in (np.pi / 2, -np.pi / 2, np.pi, -np.pi)]
                    for e in np.eye(m)]
-        built[name] = (family.gate_unitary(name, np.zeros(m)),
-                       [(u1 - u2) / 2 + (1 - np.sqrt(2)) / 4 * (u3 - u4) for u1, u2, u3, u4 in shifted])
+        du = [(u1 - u2) / 2 + (1 - np.sqrt(2)) / 4 * (u3 - u4) for u1, u2, u3, u4 in shifted]
+        built[name] = (family.gate_unitary(name, np.zeros(m)), [(j, d) for j, d in enumerate(du, 1) if d.any()])
     blocks = []
     for circuit in circuits:
-        psi = zero_state(circuit.n_qubits)
-        dpsi = [np.zeros_like(psi)] * m
+        stack = np.zeros((m + 1, 2**circuit.n_qubits), dtype=complex)  # row 0 psi, row j dpsi_j
+        stack[0] = zero_state(circuit.n_qubits)
         for op in circuit.ops * circuit.reps:
             u, du = built[op.name]
-            dpsi = [apply_unitary(d, u, op.targets) for d in dpsi]
-            dpsi = [d + apply_unitary(psi, dj, op.targets) if dj.any() else d for d, dj in zip(dpsi, du)]
-            psi = apply_unitary(psi, u, op.targets)
-        blocks.append(2 * (psi.conj() * np.array(dpsi)).real.T)
+            out = apply_unitary(stack, u, op.targets)
+            for j, dj in du:
+                out[j] += apply_unitary(stack[0], dj, op.targets)
+            stack = out
+        blocks.append(2 * (stack[0].conj() * stack[1:]).real.T)
     matrix = np.vstack(blocks)
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     kept = s > max(max(matrix.shape) * np.finfo(float).eps * s[0], 1e-9)

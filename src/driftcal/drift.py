@@ -44,8 +44,8 @@ class DriftSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown drift kind {self.kind!r}")
-        if not all(x >= 0 for x in (self.step, self.volatility, self.reversion, self.scale)):
-            raise ValueError("drift magnitudes and scale must be nonnegative numbers")
+        if not all(0 <= x < np.inf for x in (self.step, self.volatility, self.reversion, self.scale)):
+            raise ValueError("drift magnitudes and scale must be finite nonnegative numbers")
         if not np.isfinite(self.jump_size):
             raise ValueError("jump_size must be finite")
         if not (isinstance(self.jump_at, (int, np.integer)) and self.jump_at >= 1):

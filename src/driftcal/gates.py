@@ -49,8 +49,8 @@ class ControlParameterSet:
         self.alpha = np.array(self.alpha, dtype=float, ndmin=1)
         if not (len(self.eta) == len(self.eta_opt) == len(self.alpha)):
             raise ValueError("eta, eta_opt, alpha must have equal lengths")
-        if np.any(self.alpha == 0):
-            raise ValueError("alpha entries must be nonzero")
+        if not (np.isfinite((self.eta, self.eta_opt, self.alpha)).all() and self.alpha.all()):
+            raise ValueError("eta, eta_opt, alpha must be finite, and alpha entries nonzero")
 
     @property
     def deltas(self) -> np.ndarray:

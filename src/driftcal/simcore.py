@@ -4,7 +4,8 @@ Conventions, fixed once here and relied on everywhere else:
 
 - A state on ``n`` qubits is a complex vector of length ``2**n``.  Basis
   index ``i`` corresponds to the bitstring ``format(i, f"0{n}b")`` with
-  qubit 0 leftmost (most significant).
+  qubit 0 leftmost (most significant).  ``apply_unitary`` and
+  ``apply_block`` also act on each state of a (..., 2**n) stack as alone.
 - Measured bit values map to sigma-z eigenvalues as bit 0 <-> z = +1,
   bit 1 <-> z = -1.
 - Depolarization is simulated by stochastic unraveling: with probability
@@ -27,10 +28,11 @@ checks the state, targets and gate.  A diagonal on the whole register, targets
 in order, multiplies the state elementwise; on other targets it goes through
 ``np.diag`` to the square path.  That multiplies a gate on one ascending block
 of qubits t0..t0+k-1 into the state as ``apply_block``, the unchecked core,
-does: through a reshaped (2**t0, 2**k, rest) view, with no transposed copy.
-Other target orders go through a transpose.  ``apply_block`` checks nothing:
-its caller vouches for the gate and the view dims once, as ``circuits`` does
-for the steps it plans when a family is built.
+does: through a reshaped (-1, 2**k, rest) view, stack axes and the qubits
+before the block in the -1, with no transposed copy.  Other target orders go
+through a transpose.  ``apply_block`` checks nothing: its caller vouches for
+the gate and the (2**k, rest) view dims once, as ``circuits`` does for the
+steps it plans when a family is built.
 """
 from __future__ import annotations
 
@@ -52,8 +54,9 @@ def zero_state(n_qubits: int) -> np.ndarray:
 
 
 def num_qubits(state: np.ndarray) -> int:
-    n = len(state).bit_length() - 1
-    if n < 0 or 1 << n != len(state):
+    size = state.shape[-1]
+    n = size.bit_length() - 1
+    if n < 0 or 1 << n != size:
         raise ValueError("state length is not a power of two")
     return n
 
@@ -75,20 +78,20 @@ def apply_unitary(state: np.ndarray, u: np.ndarray, targets: list[int] | tuple[i
         u = np.diag(u)
     t0 = targets[0] if k else 0
     if targets == tuple(range(t0, t0 + k)):  # apply_block's product, inline: one call less per gate
-        return (u @ state.reshape(1 << t0, 1 << k, -1)).reshape(-1)
-    shape = (2,) * n
-    order = targets + tuple(ax for ax in range(n) if ax not in targets)
-    psi = u @ state.reshape(shape).transpose(order).reshape(1 << k, -1)
-    out = np.empty(len(state), psi.dtype)  # psi's dtype: a real state times a complex u is complex
+        return (u @ state.reshape(-1, 1 << k, 1 << (n - t0 - k))).reshape(state.shape)
+    shape = (-1,) + (2,) * n  # the leading axes folded into one
+    order = (0,) + tuple(1 + ax for ax in targets + tuple(ax for ax in range(n) if ax not in targets))
+    psi = u @ state.reshape(shape).transpose(order).reshape(-1, 1 << k, 1 << (n - k))
+    out = np.empty(state.shape, psi.dtype)  # psi's dtype: a real state times a complex u is complex
     out.reshape(shape).transpose(order)[...] = psi.reshape(shape)
     return out
 
 
-def apply_block(state: np.ndarray, u: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
+def apply_block(state: np.ndarray, u: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """The unchecked core of ``apply_unitary``: ``u`` on qubits t0..t0+k-1, where
-    ``dims`` = (2**t0, 2**k, rest) splits the state into (qubits before,
-    block, after); returns a new state."""
-    return (u @ state.reshape(dims)).reshape(-1)
+    ``dims`` = (2**k, rest) splits each state's last axis into (block, qubits
+    after), the qubits before folding into the leading axis; returns a new state."""
+    return (u @ state.reshape(-1, *dims)).reshape(state.shape)
 
 
 def apply_depolarizing(state: np.ndarray, p: float, targets: list[int] | tuple[int, ...], rng: Generator) -> np.ndarray:

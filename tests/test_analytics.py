@@ -73,13 +73,13 @@ def test_variance_closed_forms_reject_bad_gain():
             stationary_variance(bad, 0.5)
         with pytest.raises(ValueError, match="gain"):
             predict_variance(0.01, 0.0, bad, 0.5, 0.0, 40)
-    for bad_s in (0.0, -0.5, float("nan")):
+    for bad_s in (0.0, -0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="s must"):
             stationary_variance(0.1, bad_s)
         for gain in (0.0, 0.1):
             with pytest.raises(ValueError, match="s must"):
                 predict_variance(0.01, 0.0, gain, bad_s, 0.0, 40)
-    for bad_step in (-0.01, float("nan")):
+    for bad_step in (-0.01, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="step must"):
             stationary_variance(0.1, 0.5, bad_step)
         for gain in (0.0, 0.1):

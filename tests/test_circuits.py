@@ -261,7 +261,7 @@ def test_plan_falls_back_for_wide_runs_and_far_gates():
     fam = CircuitFamily("hand", 1, [circuit], table)
     names, steps = fam.plan(circuit)
     assert names == ("gx", "cx")
-    assert [where for _, where in steps] == [(1, 4, 2), (4, 2, 1), (1,), (0, 2), (2, 2, 2)]
+    assert [where for _, where in steps] == [(4, 2), (2, 1), (1,), (0, 2), (2, 2)]
     for key, _ in steps:
         assert isinstance(key, str) or not key.flags.writeable
     gen = stream(9, 0)
@@ -492,8 +492,10 @@ def test_pseudoinverse_is_computed_once(monkeypatch):
 
 
 def test_jacobian_skips_exactly_zero_tangents(monkeypatch):
-    """cz's h and gx0 ops read no error, so each of their dU_j is exactly zero
-    and adds no dU_j psi term: 41 apply_unitary calls per circuit, not 56."""
+    """psi and its 3 tangents go through each op as one stack, one U call per
+    op; cz's h and gx0 ops read no error, so each of their dU_j is exactly zero
+    and adds no dU_j psi call.  A circuit's 2 h, 3 gx0 and 3 cz ops make
+    8 + 3 * 3 = 17 calls, not 8 + 8 * 3 = 32; two circuits make 34."""
     calls = []
 
     def counting(*args):
@@ -503,7 +505,7 @@ def test_jacobian_skips_exactly_zero_tangents(monkeypatch):
     monkeypatch.setattr("driftcal.circuits.apply_unitary", counting)
     fam = cz_family(1)
     build_jacobian(fam.circuits, fam)
-    assert len(calls) == 82
+    assert len(calls) == 34
 
 
 def test_pseudoinverse_checks_on_cz_columns():

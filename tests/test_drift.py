@@ -208,7 +208,7 @@ def test_spec_validation():
         DriftSpec(kind="jump", jump_at=0)
     nan = float("nan")
     for name in ("step", "reversion", "volatility", "scale"):
-        for bad in (nan, -1.0):
+        for bad in (nan, -1.0, float("inf")):
             with pytest.raises(ValueError):
                 DriftSpec(kind="one_over_f", **{name: bad})
     for name, bad in (("jump_size", nan), ("jump_size", float("inf")), ("jump_at", nan),

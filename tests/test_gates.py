@@ -184,3 +184,9 @@ def test_control_parameter_set_validation():
         ControlParameterSet(eta=[1.0], eta_opt=[0.0, 0.0], alpha=[1.0])
     with pytest.raises(ValueError):
         ControlParameterSet(eta=[1.0], eta_opt=[0.0], alpha=[0.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        for name in ("eta", "eta_opt", "alpha"):
+            values = {"eta": [0.1, 0.2], "eta_opt": [0.0, 0.0], "alpha": [1.0, 2.0]}
+            values[name] = [1.0, bad]
+            with pytest.raises(ValueError, match="finite"):
+                ControlParameterSet(**values)

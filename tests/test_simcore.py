@@ -10,6 +10,7 @@ from conftest import density_from_state, depolarize_density, embed_unitary, expm
 from driftcal.gates import cz, gx
 from driftcal.rng import ensemble_generator
 from driftcal.simcore import (
+    apply_block,
     apply_depolarizing,
     apply_unitary,
     bit_to_z,
@@ -156,6 +157,40 @@ def test_diagonal_gate_matches_dense_embedding_of_its_diagonal(seed):
                 assert np.allclose(out, expected, rtol=0, atol=1e-15), (n, targets)
                 if targets == tuple(range(n)):
                     assert np.array_equal(out, u * state)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(batch=st.integers(1, 4), seed=st.integers(min_value=0))
+def test_a_stack_of_states_goes_through_row_by_row_bit_for_bit(batch, seed):
+    """On a (B, 2**n) stack of 1..3 qubits, apply_unitary gives each row, bit
+    for bit, what that row gets alone: every target order, each contiguous
+    block and k = 0 included, for a square gate and for a diagonal, on the
+    whole register or on some of it; a (2, B, 2**n) stack gets the same rows.
+    On a contiguous block apply_block does the same.  Each result is a new
+    array, so writing into it leaves the stack as it was."""
+    gen = np.random.default_rng(seed)
+    for n in range(1, 4):
+        stack = gen.normal(size=(batch, 2**n)) + 1j * gen.normal(size=(batch, 2**n))
+        before = stack.copy()
+        for k in range(n + 1):
+            dim = 2**k
+            square = expm_gate(gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim)))
+            gates = (square, np.exp(1j * gen.uniform(-np.pi, np.pi, dim))) if k else (square,)
+            for u, targets in product(gates, permutations(range(n), k)):
+                out = apply_unitary(stack, u, targets)
+                rows = np.array([apply_unitary(row, u, targets) for row in stack])
+                assert np.array_equal(out, rows), (n, targets, u.shape)
+                deep = apply_unitary(np.array([stack, stack]), u, targets)
+                assert np.array_equal(deep, np.array([rows, rows]))
+                t0 = targets[0] if k else 0
+                if u.ndim == 2 and targets == tuple(range(t0, t0 + k)):
+                    dims = (dim, 2 ** (n - t0 - k))
+                    block = apply_block(stack, u, dims)
+                    assert np.array_equal(block, np.array([apply_block(row, u, dims) for row in stack]))
+                    assert np.array_equal(block, rows)
+                    block[...] = 0.0
+                out[...] = 0.0
+                assert np.array_equal(stack, before)
 
 
 @pytest.mark.parametrize("length", [0, 3, 6])
