@@ -28,11 +28,10 @@ checks the state, targets and gate.  A diagonal on the whole register, targets
 in order, multiplies the state elementwise; on other targets it goes through
 ``np.diag`` to the square path.  That multiplies a gate on one ascending block
 of qubits t0..t0+k-1 into the state as ``apply_block``, the unchecked core,
-does: through a reshaped (-1, 2**k, rest) view, stack axes and the qubits
-before the block in the -1, with no transposed copy.  Other target orders go
-through a transpose.  ``apply_block`` checks nothing: its caller vouches for
-the gate and the (2**k, rest) view dims once, as ``circuits`` does for the
-steps it plans when a family is built.
+does: through a reshaped (-1, 2**k, rest) view, stack axes and qubits before
+the block in the -1, with no transposed copy; other orders go through a
+transpose.  ``apply_block`` checks nothing: its caller vouches for the gate
+and the (2**k, rest) dims once, as ``circuits`` does when it plans a family.
 """
 from __future__ import annotations
 
@@ -91,7 +90,8 @@ def apply_block(state: np.ndarray, u: np.ndarray, dims: tuple[int, int]) -> np.n
     """The unchecked core of ``apply_unitary``: ``u`` on qubits t0..t0+k-1, where
     ``dims`` = (2**k, rest) splits each state's last axis into (block, qubits
     after), the qubits before folding into the leading axis; returns a new state."""
-    return (u @ state.reshape(-1, *dims)).reshape(state.shape)
+    block, rest = dims  # unpacked: a starred reshape(-1, *dims) is measurably slower per call
+    return (u @ state.reshape(-1, block, rest)).reshape(state.shape)
 
 
 def apply_depolarizing(state: np.ndarray, p: float, targets: list[int] | tuple[int, ...], rng: Generator) -> np.ndarray:
