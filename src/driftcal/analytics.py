@@ -46,10 +46,23 @@ def _check_sensitivity(s: float, step: float) -> None:
         raise ValueError("step must be finite and >= 0")
 
 
+def _check_start(mu0: float, t: int | np.ndarray, sigma0_sq: float = 0.0) -> np.ndarray:
+    """The closed forms start from a finite mean and a finite variance >= 0 and
+    count whole steps t >= 0; NaN fails each.  Returns t as an array."""
+    t = np.asarray(t)
+    if not (np.isfinite(t).all() and (t >= 0).all() and (t == np.floor(t)).all()):
+        raise ValueError("t must be a whole number of steps >= 0")
+    if not -np.inf < mu0 < np.inf:
+        raise ValueError("mu0 must be finite")
+    if not 0 <= sigma0_sq < np.inf:
+        raise ValueError("sigma0_sq must be finite and >= 0")
+    return t
+
+
 def predict_mean(mu0: float, gain: float, t: int | np.ndarray):
     """Mean parameter error after t feedback steps (no or unbiased drift)."""
     _check_gain(gain)
-    return mu0 * (1.0 - 2.0 * gain) ** np.asarray(t)
+    return mu0 * (1.0 - 2.0 * gain) ** _check_start(mu0, t)
 
 
 def stationary_variance(gain: float, s: float, step: float = 0.0) -> float:
@@ -79,7 +92,7 @@ def predict_variance(sigma0_sq: float, mu0: float, gain: float, s: float,
     """
     _check_gain(gain)
     _check_sensitivity(s, step)
-    t = np.asarray(t)
+    t = _check_start(mu0, t, sigma0_sq)
     if gain == 0.0:
         return sigma0_sq + step * step * t
     sinf = stationary_variance(gain, s, step)
@@ -97,6 +110,7 @@ def optimal_gain(step: float, s: float) -> float:
 
 def exact_gain_schedule(var_t: float, mean_t: float, s: float) -> float:
     """Gain maximizing the variance contraction rate: 2 var s^2 / (1 - 4 s^2 mean^2)."""
+    _check_sensitivity(s, 0.0)
     denom = 1.0 - 4.0 * s * s * mean_t * mean_t
     if denom <= 0:
         raise ValueError("gain schedule undefined: 1 - 4 s^2 mu^2 <= 0")

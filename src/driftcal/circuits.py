@@ -310,10 +310,13 @@ def build_jacobian(circuits: list[Circuit], family: CircuitFamily) -> Jacobian:
 
     Rows are grouped by circuit, outcomes in increasing binary order.
     Columns over a circuit's full outcome set sum to zero (probability
-    conservation), so rank deficits signal an incomplete circuit set.
+    conservation), so rank deficits signal an incomplete circuit set.  A
+    circuit that is not one of the family's raises ``ValueError``.
     """
     if not circuits:
         raise ValueError("need at least one circuit")
+    for circuit in circuits:
+        family.plan(circuit)
     m = family.n_params
     built = {}  # gate name -> (U, [(j, dU_j) if dU_j is nonzero]) at zero error, by the two-shift rule
     for name in dict.fromkeys(n for c in circuits for n in c.gate_names):

@@ -4,25 +4,27 @@ The optimum stays fixed during a shot and advances once per shot.  Each
 control parameter drifts independently.  ``DriftBatch`` holds the optima of
 an (n_traj, m) ensemble and advances them in lockstep, in place, drawing
 from one ensemble stream; a single trajectory is the ensemble with
-n_traj = 1.  Every process moves eta_opt = start + offset, the offset zero
-at init, so it drifts about its own start, alone or in a composite:
+n_traj = 1.  Every kind is a bank of independent components, zero at init,
+that all step by one rule, c <- decay * c + kick * draw, then any jump; and
+eta_opt = start + sum over banks of scale * (sum of components), so every
+process drifts about its own start, alone or in a composite:
 
-- ``random_walk``: offset += q * step with q = +/-1 equiprobable.
-- ``one_over_f``: offset = scale * the sum of seven independent
-  Ornstein-Uhlenbeck components, c <- c * exp(-reversion[i]) + volatility[i]
-  * eps with eps ~ N(0, 1), reversion[i] = 10 * (1/4)**i and volatility[i] =
-  2**i * (1 - exp(-2 * reversion[i])), i = 1..7; octave-spaced correlation
-  times give an approximately 1/f spectrum.
-- ``ornstein_uhlenbeck``: one component with the spec's coefficients, scale
-  1; stationary variance volatility^2 / (1 - exp(-2 * reversion)).
+- ``random_walk``: one component with no reversion (decay 1), kick step,
+  draw q = +/-1 equiprobable.
+- ``one_over_f``: scale times seven components with draw eps ~ N(0, 1),
+  decay exp(-reversion[i]), kick volatility[i], reversion[i] = 10 * (1/4)**i
+  and volatility[i] = 2**i * (1 - exp(-2 * reversion[i])), i = 1..7;
+  octave-spaced correlation times give an approximately 1/f spectrum.
+- ``ornstein_uhlenbeck``: one such component with the spec's coefficients;
+  stationary variance volatility^2 / (1 - exp(-2 * reversion)).
 - ``jump``: the OU process with ``jump_size`` added to its component at
   shot ``jump_at``, an integer, so the jump decays at the OU rate.
-- ``composite``: the start plus the sum of independent sub-processes.
+- ``composite``: its leaves' banks, flattened depth first and stepped in order.
 - ``none``: the bank with no components; a frozen optimum.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator
@@ -52,6 +54,8 @@ class DriftSpec:
             raise ValueError("jump_at must be an integer >= 1")
         if (self.kind == "composite") != bool(self.parts):
             raise ValueError("composite drift needs at least one part, and only composite drift has parts")
+        if not all(isinstance(part, DriftSpec) for part in self.parts):
+            raise ValueError("every composite part must be a DriftSpec")
 
 
 def one_over_f_coefficients() -> tuple[np.ndarray, np.ndarray]:
@@ -66,14 +70,10 @@ def one_over_f_coefficients() -> tuple[np.ndarray, np.ndarray]:
 class DriftBatch:
     """Drift state for an (n_traj, m) ensemble advanced in lockstep."""
 
-    spec: DriftSpec
     eta_opt: np.ndarray                        # (n_traj, m)
     start: np.ndarray                          # (n_traj, m), eta_opt at init
+    banks: list[tuple]                         # one per leaf, depth first; see _banks
     t: int = 0
-    components: np.ndarray | None = None       # (n_traj, m, k), the k OU components
-    decay: np.ndarray | None = None            # (k,), exp(-reversion)
-    volatility: np.ndarray | None = None       # (k,)
-    sub: list["DriftBatch"] = field(default_factory=list)
 
     @classmethod
     def init(cls, spec: DriftSpec, n_traj: int, m: int, eta_opt0: float | np.ndarray = 0.0) -> "DriftBatch":
@@ -82,32 +82,31 @@ class DriftBatch:
         eta = np.broadcast_to(eta_opt0, (n_traj, m)).astype(float)
         if not np.isfinite(eta).all():
             raise ValueError("eta_opt0 must be finite")
-        batch = cls(spec=spec, eta_opt=eta, start=eta.copy())
-        if spec.kind == "composite":
-            batch.sub = [cls.init(p, n_traj, m, 0.0) for p in spec.parts]
-        elif spec.kind != "random_walk":  # the OU bank: one component for OU and jump, none for none
-            k = int(spec.kind != "none")
-            reversion, batch.volatility = np.full(k, spec.reversion), np.full(k, spec.volatility)
-            if spec.kind == "one_over_f":
-                reversion, batch.volatility = one_over_f_coefficients()
-            batch.components = np.zeros((n_traj, m, len(reversion)))
-            batch.decay = np.exp(-reversion)
-        return batch
+        return cls(eta_opt=eta, start=eta.copy(), banks=_banks(spec, (n_traj, m)))
 
     def step(self, rng: Generator) -> None:
-        spec = self.spec
         self.t += 1
-        if spec.kind == "random_walk":
-            self.eta_opt += spec.step * (rng.integers(0, 2, size=self.eta_opt.shape) * 2 - 1)
-        elif spec.kind == "composite":
-            self.eta_opt[:] = self.start
-            for sb in self.sub:
-                sb.step(rng)
-                self.eta_opt += sb.eta_opt
-        else:  # the OU component bank
-            self.components *= self.decay
-            self.components += self.volatility * rng.standard_normal(self.components.shape)
-            if spec.kind == "jump" and self.t == spec.jump_at:
-                self.components += spec.jump_size
-            scale = spec.scale if spec.kind == "one_over_f" else 1.0
-            self.eta_opt[:] = self.start + scale * self.components.sum(axis=2)
+        self.eta_opt[:] = self.start
+        for leaf, components, decay, kick, scale in self.banks:
+            components *= decay
+            if leaf.kind == "random_walk":
+                components += kick * (rng.integers(0, 2, size=components.shape) * 2 - 1)
+            else:
+                components += kick * rng.standard_normal(components.shape)
+            if leaf.kind == "jump" and self.t == leaf.jump_at:
+                components += leaf.jump_size
+            self.eta_opt += scale * components.sum(axis=2)
+
+
+def _banks(spec: DriftSpec, shape: tuple[int, int]) -> list[tuple]:
+    """(leaf, components (n_traj, m, k), decay (k,), kick (k,), scale) for
+    each leaf of ``spec``, depth first, so a composite draws in part order."""
+    if spec.kind == "composite":
+        return [bank for part in spec.parts for bank in _banks(part, shape)]
+    k = int(spec.kind != "none")
+    reversion, kick, scale = np.full(k, spec.reversion), np.full(k, spec.volatility), 1.0
+    if spec.kind == "random_walk":
+        reversion, kick = np.zeros(1), np.full(1, spec.step)
+    elif spec.kind == "one_over_f":
+        (reversion, kick), scale = one_over_f_coefficients(), spec.scale
+    return [(spec, np.zeros(shape + (len(kick),)), np.exp(-reversion), kick, scale)]

@@ -53,6 +53,8 @@ def zero_state(n_qubits: int) -> np.ndarray:
 
 
 def num_qubits(state: np.ndarray) -> int:
+    if not state.ndim:
+        raise ValueError("a state needs at least one axis")
     size = state.shape[-1]
     n = size.bit_length() - 1
     if n < 0 or 1 << n != size:

@@ -40,6 +40,28 @@ def test_predict_mean_rejects_bad_gain():
         predict_mean(0.3, 0.5, 1)
 
 
+def test_closed_forms_reject_a_start_or_time_with_no_meaning():
+    """t counts whole steps from 0; mu0 and the start variance are finite,
+    the variance >= 0.  Whole steps in any dtype, alone or in an array, pass."""
+    for bad_t in (-1, 2.5, np.array([1, -2]), np.array([0.0, 0.5]), float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="t must"):
+            predict_mean(0.3, 0.1, bad_t)
+        with pytest.raises(ValueError, match="t must"):
+            predict_variance(0.01, 0.0, 0.1, 0.5, 0.0, bad_t)
+    for bad_mu0 in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="mu0 must"):
+            predict_mean(bad_mu0, 0.1, 3)
+        with pytest.raises(ValueError, match="mu0 must"):
+            predict_variance(0.01, bad_mu0, 0.1, 0.5, 0.0, 3)
+    for bad_var in (-1.0, -1e-300, float("nan"), float("inf")):
+        for gain in (0.0, 0.1):
+            with pytest.raises(ValueError, match="sigma0_sq must"):
+                predict_variance(bad_var, 0.0, gain, 0.5, 0.0, 1)
+    assert np.array_equal(predict_mean(0.3, 0.25, np.array([0, 2])), [0.3, 0.075])
+    assert predict_mean(0.3, 0.25, 2.0) == predict_mean(0.3, 0.25, np.int64(2))
+    assert predict_variance(0.0, 0.0, 0.1, 0.5, 0.0, np.arange(2)).tolist() == pytest.approx([0.0, 0.04])
+
+
 # =============================================================================
 # variance dynamics
 # =============================================================================
@@ -125,6 +147,9 @@ def test_exact_gain_schedule_rejects_gains_outside_the_closed_forms():
     for var_t, mean_t, s in ((1.0, 0.0, 0.5), (0.3, 0.0, 1.0), (-0.1, 0.0, 0.5)):
         with pytest.raises(ValueError, match="gain"):
             exact_gain_schedule(var_t, mean_t, s)
+    for bad_s in (0.0, -0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="s must"):
+            exact_gain_schedule(0.01, 0.0, bad_s)
 
 
 # =============================================================================

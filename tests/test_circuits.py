@@ -278,6 +278,11 @@ def test_plan_of_an_equal_circuit_and_of_a_foreign_one():
         final_state(gx_power(2), fam, np.zeros(1))
     with pytest.raises(ValueError, match="not one of family 'gx'"):
         final_state(gx_power(2), fam, np.zeros(1), NoiseParams(p=0.1), stream(9, 1))
+    with pytest.raises(ValueError, match="not one of family 'gx'"):
+        build_jacobian([gx_power(2)], fam)
+    with pytest.raises(ValueError, match="not one of family 'gx'"):
+        build_jacobian([fam.circuits[0], gx_power(2)], fam)
+    assert np.array_equal(build_jacobian([gx_power(1)], fam).matrix, build_jacobian(fam.circuits, fam).matrix)
 
 
 @pytest.mark.parametrize("make, reps", [(gx_family, 21), (gxgy_family, 1), (cz_family, 1), (cz_family, 2)])

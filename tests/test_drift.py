@@ -40,7 +40,8 @@ def test_every_kind_keeps_its_start_when_motionless(rng):
 
 def test_every_kind_drifts_about_its_own_start():
     """A spec alone and as the one part of a composite, on identical streams,
-    move eta_opt alike from start 0.3; a lone jump decays toward the start."""
+    move eta_opt bit for bit alike from start 0.3: both step the same banks.
+    A lone jump decays toward the start."""
     walk = DriftSpec(kind="random_walk", step=0.01)
     moving = dict(reversion=0.05, volatility=1e-3, jump_at=20)
     specs = (DriftSpec(kind="none"), walk, DriftSpec(kind="ornstein_uhlenbeck", **moving),
@@ -54,7 +55,7 @@ def test_every_kind_drifts_about_its_own_start():
         for _ in range(50):
             alone.step(gen_alone)
             wrapped.step(gen_wrapped)
-        assert np.abs(alone.eta_opt - wrapped.eta_opt).max() <= 1e-12, spec.kind
+        assert np.array_equal(alone.eta_opt, wrapped.eta_opt), spec.kind
     jump = DriftBatch.init(DriftSpec(kind="jump", reversion=0.5, volatility=0.0, jump_at=5), 1, 1, 0.3)
     gen = ensemble_generator(9)
     for _ in range(10):
@@ -173,8 +174,11 @@ def test_one_over_f_sums_components(rng):
     state = DriftBatch.init(spec, 1, 1, 0.0)
     for _ in range(50):
         state.step(rng)
-    assert state.components.shape == (1, 1, 7)
-    assert state.eta_opt[0, 0] == pytest.approx(0.001 * state.components.sum(), abs=1e-15)
+    (leaf, components, decay, kick, scale), = state.banks
+    assert leaf is spec and scale == 0.001 and components.shape == (1, 1, 7)
+    assert np.array_equal(decay, np.exp(-one_over_f_coefficients()[0]))
+    assert np.array_equal(kick, one_over_f_coefficients()[1])
+    assert state.eta_opt[0, 0] == pytest.approx(0.001 * components.sum(), abs=1e-15)
 
 
 def test_composite_sums_parts(rng):
@@ -183,6 +187,26 @@ def test_composite_sums_parts(rng):
     state = DriftBatch.init(spec, 1, 1, 0.0)
     state.step(rng)
     assert state.eta_opt[0, 0] == pytest.approx(0.2)
+
+
+def test_composite_is_its_start_plus_its_parts_stepped_in_order():
+    """A composite of every moving leaf kind equals its start plus each part
+    stepped alone from 0, the parts in order on one stream, bit for bit."""
+    moving = dict(reversion=0.05, volatility=1e-3, jump_at=7)
+    leaves = (DriftSpec(kind="random_walk", step=0.01), DriftSpec(kind="ornstein_uhlenbeck", **moving),
+              DriftSpec(kind="jump", **moving), DriftSpec(kind="one_over_f", scale=0.02))
+    start = np.array([[0.3, -0.2], [0.1, 0.7], [-0.4, 0.05]])
+    whole = DriftBatch.init(DriftSpec(kind="composite", parts=leaves), 3, 2, start)
+    parts = [DriftBatch.init(leaf, 3, 2) for leaf in leaves]
+    gen_whole, gen_parts = ensemble_generator(13), ensemble_generator(13)
+    for _ in range(30):
+        whole.step(gen_whole)
+        expected = start.copy()
+        for part in parts:
+            part.step(gen_parts)
+            expected += part.eta_opt
+        assert np.array_equal(whole.eta_opt, expected)
+    assert gen_whole.random() == gen_parts.random()
 
 
 def test_multi_parameter_drift_is_independent():
@@ -223,3 +247,6 @@ def test_spec_validation():
             with pytest.raises(ValueError):
                 DriftSpec(kind, parts=(part,))
     assert DriftSpec("composite", parts=(part,)).parts == (part,)
+    for parts in ((1,), (part, "jump"), (None,)):
+        with pytest.raises(ValueError, match="DriftSpec"):
+            DriftSpec("composite", parts=parts)

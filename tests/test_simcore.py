@@ -74,6 +74,8 @@ def test_apply_unitary_rejects_bad_inputs():
     for diag, targets in ((np.ones(2), [0, 1]), (np.ones(4), [0]), (np.ones(8), [0, 1]), (np.ones(1), [0])):
         with pytest.raises(ValueError, match="does not match"):  # a diagonal of the wrong length
             apply_unitary(state, diag.astype(complex), targets)
+    with pytest.raises(ValueError, match="at least one axis"):
+        apply_unitary(np.array(1 + 0j), np.eye(2), (0,))
 
 
 def test_apply_unitary_with_no_targets_scales_by_the_1x1_u(rng):
@@ -386,6 +388,8 @@ def test_measurement_rejects_norm_beyond_tolerance():
         measure_computational(np.sqrt(1 + 2e-9) * np.full(4, 0.5, dtype=complex), _LastDraw())
     with pytest.raises(ValueError, match="not normalized"):
         measure_computational(np.array([np.nan, 0.0], dtype=complex), _LastDraw())
+    with pytest.raises(ValueError, match="at least one axis"):
+        measure_computational(np.array(1 + 0j), _LastDraw())
 
 
 def test_outcome_distribution_rejects_unnormalized_state():
