@@ -86,7 +86,7 @@ class DriftBatch:
 
     def step(self, rng: Generator) -> None:
         self.t += 1
-        self.eta_opt[:] = self.start
+        eta_opt = self.start
         for leaf, components, decay, kick, scale in self.banks:
             components *= decay
             if leaf.kind == "random_walk":
@@ -95,7 +95,8 @@ class DriftBatch:
                 components += kick * rng.standard_normal(components.shape)
             if leaf.kind == "jump" and self.t == leaf.jump_at:
                 components += leaf.jump_size
-            self.eta_opt += scale * components.sum(axis=2)
+            eta_opt = eta_opt + scale * components.sum(axis=2)
+        self.eta_opt[:] = eta_opt  # one write, in place: callers hold views of eta_opt's rows
 
 
 def _banks(spec: DriftSpec, shape: tuple[int, int]) -> list[tuple]:
