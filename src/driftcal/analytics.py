@@ -15,7 +15,8 @@ buffers that grow in place, so a shot adds raw values, not Python objects:
   matrix row-major; m is fixed by the first append, and every append must
   give two vectors of that length;
 - ``outcome`` and ``event``: lists of shared strings (outcomes are
-  interned, so a two-bit outcome is not a new object per shot).
+  interned, so a two-bit outcome is not a new object per shot; an event
+  must be one of the ``EVENT_*`` codes).
 
 Reading ``eta`` or ``eta_opt`` returns a (T, m) copy, never a view: an
 array that still exports its buffer cannot grow, so a view would make the
@@ -145,6 +146,7 @@ EVENT_ABORT = "abort"
 EVENT_GAIN = "gain_change"
 EVENT_REPS = "reps_change"
 EVENT_SKIP = "skip_update"
+_EVENTS = frozenset((EVENT_NONE, EVENT_UPDATE, EVENT_ABORT, EVENT_GAIN, EVENT_REPS, EVENT_SKIP))
 
 # A dtype object, not ``float``, so that ``np.asarray`` on the logging path skips parsing it.
 _FLOAT64 = np.dtype(np.float64)
@@ -176,11 +178,13 @@ class TrajectoryRecord:
                infidelity: float, event: str = EVENT_NONE) -> None:
         if self.t and t <= self.t[-1]:
             raise ValueError("shot index must be strictly increasing")
+        if event not in _EVENTS:
+            raise ValueError(f"unknown event {event!r}")
+        outcome = sys.intern(outcome)  # before the first append fixes m, so a bad outcome leaves m open
         eta = np.asarray(eta, _FLOAT64)
         eta_opt = np.asarray(eta_opt, _FLOAT64)
         if eta.shape != self._shape or eta_opt.shape != self._shape:
             self._fix_shape(eta.shape, eta_opt.shape)
-        outcome = sys.intern(outcome)
         try:
             self.t.append(t)
             self.reps.append(reps)

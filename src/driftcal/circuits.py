@@ -14,25 +14,27 @@ gate's dimension, a gate that reads more errors than the family has
 parameters, and a fixed matrix that is writable raise ``ValueError`` then, not
 mid-run.
 
-The family also plans each circuit once, at build, into a step list for
-noiseless shots.  Consecutive fixed ops whose qubits span a contiguous block
-t0..t0+k-1 no wider than the family's widest gate become one step: their
-product, composed on a stack of basis states with the checked ``apply_unitary``
-(so any target order works), kept read-only with its (2**k, rest) view dims.
-Every other op stays a step as its own ``GateOp``, a (name, targets) pair.
-The plan's targets and matrices are checked once, when it is made, so its
-precomposed steps skip the per-call check and go through ``apply_block``, the
-unchecked core; only the named steps go through the checked ``apply_unitary``.
+The family also plans each circuit once, at build, into two flat lists of
+plain (key, where) steps over the whole shot, all ``reps`` included, each
+with the gate names its steps build.  The per-op list makes every op a
+(name, targets) step.  The noiseless list is one repetition's steps, repeated
+``reps`` times: consecutive fixed ops whose qubits span a contiguous block
+t0..t0+k-1 no wider than the family's widest gate become one step, their
+product (composed on a stack of basis states with the checked
+``apply_unitary``, so any target order works) kept read-only with its
+(2**k, rest) view dims; every other op is a (name, targets) step.  Plans are
+checked once, when made, so precomposed steps go through ``apply_block``,
+the unchecked core, and only named steps through ``apply_unitary``.
 
-``final_state`` runs every shot through one loop over steps.  A gate depends
-only on its name and the shot's errors, so a shot builds each gate that its
-steps name once: a noiseless ``cz`` shot builds one ``cz`` diagonal and runs
-three precomposed steps and three diagonal multiplies.  A shot with per-gate
-noise looks its circuit up in the plans too, so a foreign circuit is rejected
-either way, but runs the circuit's own ops as its steps: each named step
-applies its gate, then depolarizes its targets with probability ``p``.  A
-single depolarization with probability ``p_spam`` on all qubits follows,
-immediately before measurement.  Built-in families:
+``final_state`` runs every shot through one loop over one list; the lookup
+rejects a circuit that is not one of the family's.  A gate depends only on
+its name and the shot's errors, so a shot builds each gate its steps name
+once: a noiseless ``cz`` shot builds one ``cz`` diagonal and runs three
+precomposed steps and three diagonal multiplies.  A shot with per-gate noise
+walks the per-op list: each step applies its gate, then depolarizes its
+targets with probability ``p``.  A single depolarization with probability
+``p_spam`` on all qubits follows, immediately before measurement.
+Built-in families:
 
 - ``gx_family``: one parameter; every ``gx`` op gets rotation error d[0].
   Repetition parity decides the character of the circuit: odd powers
@@ -67,7 +69,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -102,11 +103,6 @@ class Circuit:
             if any(t < 0 or t >= self.n_qubits for t in op.targets):
                 raise ValueError(f"gate {op.name} targets out of range")
 
-    @cached_property
-    def gate_names(self) -> tuple[str, ...]:
-        """Distinct gate names in first-use order."""
-        return tuple(dict.fromkeys(op.name for op in self.ops))
-
 
 @dataclass(frozen=True)
 class NoiseParams:
@@ -120,10 +116,12 @@ class NoiseParams:
 
 class CircuitFamily:
     """A gate table (name -> builder(deltas) or fixed read-only matrix) and
-    the probe circuits it runs, each planned once into noiseless steps."""
+    the probe circuits it runs, each planned once into noiseless and per-op steps."""
 
     def __init__(self, name: str, n_params: int, circuits: list[Circuit],
                  gates: dict[str, Callable[[np.ndarray], np.ndarray] | np.ndarray]):
+        if not (isinstance(n_params, (int, np.integer)) and n_params >= 1):
+            raise ValueError("n_params must be an integer >= 1")
         qubits = {c.n_qubits for c in circuits}
         if len(qubits) != 1:
             raise ValueError("a family needs circuits that share one qubit count")
@@ -146,18 +144,19 @@ class CircuitFamily:
                 if dims[op.name] != 2**len(op.targets):
                     raise ValueError(f"gate {op.name!r} does not act on {len(op.targets)} qubit(s)")
         widest = max(dims.values(), default=1).bit_length() - 1
-        # keyed by id for a cheap per-shot lookup; each entry holds its circuit, so the id stays its own
-        self._plans = {id(c): (c, self._plan(c, widest)) for c in circuits}
+        # keyed by id for a cheap per-shot lookup; each entry holds its circuit, so the id stays its own;
+        # no op fits a width of -1, so the per-op plan precomposes none
+        self._plans = {id(c): (c, (self._plan(c, widest), self._plan(c, -1))) for c in circuits}
 
     def gate_unitary(self, name: str, deltas: np.ndarray) -> np.ndarray:
         gate = self._gates[name]
         return gate if isinstance(gate, np.ndarray) else gate(deltas)
 
-    def plan(self, circuit: Circuit) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
-        """The gate names a noiseless shot of ``circuit`` builds, and the steps
-        of one repetition: (read-only matrix, view dims) for a precomposed
-        run of fixed ops, the ``GateOp`` itself for every other op; a
-        circuit that is not one of the family's raises ``ValueError``."""
+    def plan(self, circuit: Circuit) -> tuple[tuple[tuple[str, ...], tuple[tuple, ...]], ...]:
+        """The noiseless and the per-op plan of ``circuit``: each the gate names
+        its steps build and its steps over all ``reps`` repetitions, (read-only
+        matrix, view dims) for a precomposed run of fixed ops and (name, targets)
+        for every other op.  A foreign circuit raises ``ValueError``."""
         entry = self._plans.get(id(circuit))
         if entry is None:
             entry = next((e for e in self._plans.values() if e[0] == circuit), None)
@@ -178,11 +177,11 @@ class CircuitFamily:
             if run:
                 steps.append(self._compose(run))
                 run = []
-            steps.append(op)
+            steps.append((op.name, op.targets))
         if run:
             steps.append(self._compose(run))
         names = tuple(dict.fromkeys(key for key, _ in steps if isinstance(key, str)))
-        return names, tuple(steps)
+        return names, tuple(steps) * circuit.reps
 
     def _compose(self, run: list[GateOp]) -> tuple[np.ndarray, tuple[int, int]]:
         """The product of fixed ops on the block they span, as a read-only matrix
@@ -265,19 +264,16 @@ def final_state(circuit: Circuit, family: CircuitFamily, deltas: np.ndarray,
     p = noise.p
     if rng is None and (p > 0 or noise.p_spam > 0):
         raise ValueError("a noisy shot needs an rng")
-    names, steps = family.plan(circuit)  # rejects a circuit that is not one of the family's
-    if p > 0:  # depolarization follows every op, so each op is its own step
-        names, steps = circuit.gate_names, circuit.ops
+    names, steps = family.plan(circuit)[bool(p > 0)]  # per-op steps when each op depolarizes
     built = {name: family.gate_unitary(name, deltas) for name in names}
     state = zero_state(circuit.n_qubits)
-    for _ in range(circuit.reps):
-        for key, where in steps:
-            if type(key) is str:
-                state = apply_unitary(state, built[key], where)
-                if p > 0:
-                    state = apply_depolarizing(state, p, where, rng)
-            else:
-                state = apply_block(state, key, where)
+    for key, where in steps:
+        if type(key) is str:
+            state = apply_unitary(state, built[key], where)
+            if p > 0:
+                state = apply_depolarizing(state, p, where, rng)
+        else:
+            state = apply_block(state, key, where)
     if noise.p_spam > 0:
         state = apply_depolarizing(state, noise.p_spam, tuple(range(circuit.n_qubits)), rng)
     return state
@@ -315,24 +311,23 @@ def build_jacobian(circuits: list[Circuit], family: CircuitFamily) -> Jacobian:
     """
     if not circuits:
         raise ValueError("need at least one circuit")
-    for circuit in circuits:
-        family.plan(circuit)
-    m = family.n_params
+    plans = [family.plan(circuit)[1] for circuit in circuits]  # the per-op plans
+    m, n = family.n_params, family.n_qubits
     built = {}  # gate name -> (U, [(j, dU_j) if dU_j is nonzero]) at zero error, by the two-shift rule
-    for name in dict.fromkeys(n for c in circuits for n in c.gate_names):
+    for name in dict.fromkeys(name for names, _ in plans for name in names):
         shifted = [[family.gate_unitary(name, a * e) for a in (np.pi / 2, -np.pi / 2, np.pi, -np.pi)]
                    for e in np.eye(m)]
         du = [(u1 - u2) / 2 + (1 - np.sqrt(2)) / 4 * (u3 - u4) for u1, u2, u3, u4 in shifted]
         built[name] = (family.gate_unitary(name, np.zeros(m)), [(j, d) for j, d in enumerate(du, 1) if d.any()])
     blocks = []
-    for circuit in circuits:
-        stack = np.zeros((m + 1, 2**circuit.n_qubits), dtype=complex)  # row 0 psi, row j dpsi_j
-        stack[0] = zero_state(circuit.n_qubits)
-        for op in circuit.ops * circuit.reps:
-            u, du = built[op.name]
-            out = apply_unitary(stack, u, op.targets)
+    for _, steps in plans:
+        stack = np.zeros((m + 1, 2**n), dtype=complex)  # row 0 psi, row j dpsi_j
+        stack[0] = zero_state(n)
+        for name, targets in steps:
+            u, du = built[name]
+            out = apply_unitary(stack, u, targets)
             for j, dj in du:
-                out[j] += apply_unitary(stack[0], dj, op.targets)
+                out[j] += apply_unitary(stack[0], dj, targets)
             stack = out
         blocks.append(2 * (stack[0].conj() * stack[1:]).real.T)
     matrix = np.vstack(blocks)

@@ -81,8 +81,8 @@ def cz(zi: float = 0.0, iz: float = 0.0, zz: float = 0.0) -> np.ndarray:
 
 def entanglement_infidelity(w: np.ndarray, v: np.ndarray) -> float:
     """1 - |Tr(W^dag V)|^2 / d^2 for two unitaries of equal dimension."""
-    if w.shape != v.shape:
-        raise ValueError("dimension mismatch")
+    if w.shape != v.shape or w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError("dimension mismatch: need two square matrices of one shape")
     d = w.shape[0]
     val = 1.0 - abs(np.trace(w.conj().T @ v)) ** 2 / d**2
     return float(min(max(val, 0.0), 1.0))
@@ -94,4 +94,6 @@ def gx_process_infidelity(delta: float | np.ndarray, p: float = 0.0) -> float | 
     Equals process_infidelity(depolarizing_ptm(p) @ ptm(gx(delta)), gx(0)),
     which the tests verify: 3p/4 + (1-p) sin^2(delta/2).
     """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
     return 0.75 * p + (1.0 - p) * np.sin(np.asarray(delta) / 2.0) ** 2

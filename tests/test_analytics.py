@@ -7,6 +7,9 @@ import pytest
 from conftest import variance_recursion
 from driftcal.analytics import (
     EVENT_ABORT,
+    EVENT_GAIN,
+    EVENT_REPS,
+    EVENT_SKIP,
     EVENT_UPDATE,
     RECORD_COLUMNS,
     TrajectoryRecord,
@@ -248,6 +251,14 @@ def test_trajectory_record_rejects_vectors_of_other_lengths():
         with pytest.raises(ValueError):
             rec.append(1, eta, eta_opt, "0", 0.05, 1, 0.0)
     assert rec.eta.shape == (1, 2) and len(list(rec.rows())) == 1
+    # a first append that fails leaves m open
+    rec = TrajectoryRecord(index=0)
+    with pytest.raises(TypeError):
+        rec.append(0, [0.1], [0.0], 5, 0.05, 1, 0.0)
+    with pytest.raises(ValueError, match="unknown event"):
+        rec.append(0, [0.1, 0.2], [0.0, 0.0], "0", 0.05, 1, 0.0, "bogus")
+    rec.append(0, [0.1, 0.2, 0.3], [0.0, 0.0, 0.0], "01", 0.05, 1, 0.0)
+    assert rec.eta.shape == (1, 3)
 
 
 def test_trajectory_record_drops_a_shot_its_columns_cannot_hold():
@@ -258,10 +269,18 @@ def test_trajectory_record_drops_a_shot_its_columns_cannot_hold():
         kwargs = {"gain": 0.05, "reps": 1, "infidelity": 0.0, **bad}
         with pytest.raises((TypeError, OverflowError)):
             rec.append(1, [0.2], [0.0], "1", **kwargs)
+    for event in (7, "bogus", None, "UPDATE"):
+        with pytest.raises(ValueError, match="unknown event"):
+            rec.append(1, [0.2], [0.0], "1", 0.05, 1, 0.0, event)
     rec.append(1, [0.2], [0.0], "1", 0.05, 2, 0.5)
+    for t, event in enumerate((EVENT_GAIN, EVENT_REPS, EVENT_SKIP), start=2):
+        rec.append(t, [0.2], [0.0], "1", 0.05, 2, 0.5, event)
     assert [row[1:] for row in rec.rows()] == [
         (0, "0.1", "0", "0.1", "0", "0.05", 1, "0", ""),
         (1, "0.2", "0", "0.2", "1", "0.05", 2, "0.5", ""),
+        (2, "0.2", "0", "0.2", "1", "0.05", 2, "0.5", "gain_change"),
+        (3, "0.2", "0", "0.2", "1", "0.05", 2, "0.5", "reps_change"),
+        (4, "0.2", "0", "0.2", "1", "0.05", 2, "0.5", "skip_update"),
     ]
 
 

@@ -12,8 +12,7 @@ CALLERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
 # caller must leave it.
 AWAITING_ENGINE = {
     "autocorrelation_sum", "duty_cycle", "entanglement_infidelity", "exact_gain_schedule",
-    "gxgy_family", "optimal_gain", "EVENT_GAIN", "EVENT_REPS",
-    "EVENT_SKIP", "RECORD_COLUMNS", "TrajectoryRecord.rows",
+    "gxgy_family", "optimal_gain", "RECORD_COLUMNS", "TrajectoryRecord.rows",
 }
 
 

@@ -97,6 +97,10 @@ def test_noisy_run_gives_one_bit_and_noise_is_checked():
     assert out in ("0", "1")
     with pytest.raises(ValueError):
         NoiseParams(p=1.5)
+    # numpy noise probabilities pick the same plan, draw for draw, as Python floats
+    got = final_state(fam.circuits[0], fam, params.deltas, NoiseParams(np.float64(0.3), np.float64(0.3)), stream(2, 1))
+    want = final_state(fam.circuits[0], fam, params.deltas, NoiseParams(0.3, 0.3), stream(2, 1))
+    assert np.array_equal(got, want)
 
 
 def test_circuit_validation():
@@ -151,6 +155,10 @@ def test_family_rejects_circuits_that_do_not_fit_its_gate_table():
         CircuitFamily("gx", 1, [], GX_GATES)
     with pytest.raises(ValueError, match="'h' must be a read-only matrix"):
         CircuitFamily("cz", 3, cz_circuits(), {**CZ_GATES, "h": np.array(gates.HADAMARD)})
+    for n_params in (0, -1, 1.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match="n_params must be an integer >= 1"):
+            CircuitFamily("cz", n_params, cz_circuits(), CZ_GATES)
+    assert CircuitFamily("cz", np.int64(3), cz_circuits(), CZ_GATES).n_params == 3
     assert cz_family(1).n_qubits == 2 and gx_family(1).n_qubits == 1
 
 
@@ -202,7 +210,8 @@ def test_noiseless_cz_shot_applies_three_gates_and_builds_one(monkeypatch):
                         lambda self, name, d: built.append(name) or real_build(self, name, d))
     params = ControlParameterSet(np.full(3, 0.01), np.zeros(3), np.ones(3))
     for ci, circuit in enumerate(fam.circuits):
-        fixed = [key for key, _ in fam.plan(circuit)[1] if not isinstance(key, str)]
+        noiseless_steps = fam.plan(circuit)[0][1]
+        fixed = [key for key, _ in noiseless_steps if not isinstance(key, str)]
         assert len(fixed) == 3 and not any(u.flags.writeable for u in fixed)
         applied.clear()
         built.clear()
@@ -248,32 +257,41 @@ def test_planned_state_matches_op_by_op_product(make, reps):
             assert np.allclose(final_state(circuit, fam, d), want, rtol=0, atol=1e-12)
 
 
+_CX = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+_CX.flags.writeable = False
+HAND_TABLE = {"h": gates.HADAMARD, "cx": _CX, "gx": GX_GATES["gx"]}
+HAND_OPS = (("h", (0,)), ("cx", (1, 0)), ("h", (2,)), ("gx", (1,)), ("cx", (0, 2)), ("h", (1,)))
+
+
+def hand_family(reps: int = 1) -> CircuitFamily:
+    """One 3-qubit circuit of fixed h and cx ops around a gx, widest gate 2 qubits."""
+    return CircuitFamily("hand", 1, [Circuit(tuple(GateOp(n, t) for n, t in HAND_OPS), 3, reps)], HAND_TABLE)
+
+
 def test_plan_falls_back_for_wide_runs_and_far_gates():
     """On 3 qubits with a widest gate of 2: h(0), cx(1, 0) merge into one 4x4
     step (cx's reversed targets composed in), h(2) would widen that run to 3
     qubits so it starts its own, gx is not fixed, and cx(0, 2) alone spans 3
-    qubits, so both stay (name, targets) steps; h(1) ends as a 2x2 step."""
-    cx = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
-    cx.flags.writeable = False
-    table = {"h": gates.HADAMARD, "cx": cx, "gx": GX_GATES["gx"]}
-    ops = (("h", (0,)), ("cx", (1, 0)), ("h", (2,)), ("gx", (1,)), ("cx", (0, 2)), ("h", (1,)))
-    circuit = Circuit(tuple(GateOp(n, t) for n, t in ops), 3, reps=2)
-    fam = CircuitFamily("hand", 1, [circuit], table)
-    names, steps = fam.plan(circuit)
+    qubits, so both stay (name, targets) steps; h(1) ends as a 2x2 step.
+    The noiseless list repeats those five steps for each of the 2 repetitions."""
+    fam = hand_family(2)
+    circuit = fam.circuits[0]
+    (names, steps), _ = fam.plan(circuit)
     assert names == ("gx", "cx")
-    assert [where for _, where in steps] == [(4, 2), (2, 1), (1,), (0, 2), (2, 2)]
+    assert [where for _, where in steps] == [(4, 2), (2, 1), (1,), (0, 2), (2, 2)] * 2
     for key, _ in steps:
         assert isinstance(key, str) or not key.flags.writeable
     gen = stream(9, 0)
     for _ in range(5):
         d = gen.uniform(-0.3, 0.3, 1)
-        want = op_by_op_state(ops, 2, 3, lambda name: fam.gate_unitary(name, d))
+        want = op_by_op_state(HAND_OPS, 2, 3, lambda name: fam.gate_unitary(name, d))
         assert np.allclose(final_state(circuit, fam, d), want, rtol=0, atol=1e-12)
 
 
 def test_plan_of_an_equal_circuit_and_of_a_foreign_one():
     fam = gx_family(1)
-    assert fam.plan(gx_power(1)) is fam.plan(fam.circuits[0])
+    equal, own = fam.plan(gx_power(1)), fam.plan(fam.circuits[0])
+    assert len(own) == 2 and all(a is b for a, b in zip(equal, own))
     with pytest.raises(ValueError, match="not one of family 'gx'"):
         final_state(gx_power(2), fam, np.zeros(1))
     with pytest.raises(ValueError, match="not one of family 'gx'"):
@@ -283,6 +301,26 @@ def test_plan_of_an_equal_circuit_and_of_a_foreign_one():
     with pytest.raises(ValueError, match="not one of family 'gx'"):
         build_jacobian([fam.circuits[0], gx_power(2)], fam)
     assert np.array_equal(build_jacobian([gx_power(1)], fam).matrix, build_jacobian(fam.circuits, fam).matrix)
+
+
+@pytest.mark.parametrize("reps", [1, 2, 5])
+@pytest.mark.parametrize("make", [gx_family, gxgy_family, cz_family, hand_family])
+def test_plan_lists_cover_every_repetition_as_plain_tuples(make, reps):
+    """The per-op list is every op as its own (name, targets) step, all
+    repetitions included, naming the distinct op names in first-use order; the
+    noiseless list is the one-repetition family's steps, repeated reps times."""
+    fam, single = make(reps), make(1)
+    for circuit, one in zip(fam.circuits, single.circuits):
+        (names, steps), (op_names, op_steps) = fam.plan(circuit)
+        assert list(op_steps) == [(op.name, op.targets) for op in circuit.ops] * reps
+        assert op_names == tuple(dict.fromkeys(op.name for op in circuit.ops))
+        (one_names, one_steps), _ = single.plan(one)
+        k = len(one_steps)
+        assert names == one_names and len(steps) == reps * k
+        assert all(steps[i] is steps[i % k] for i in range(len(steps)))
+        for (key, where), (one_key, one_where) in zip(steps, one_steps):
+            assert where == one_where and np.array_equal(key, one_key)
+        assert all(type(step) is tuple for step in steps + op_steps)
 
 
 @pytest.mark.parametrize("make, reps", [(gx_family, 21), (gxgy_family, 1), (cz_family, 1), (cz_family, 2)])

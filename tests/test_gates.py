@@ -138,6 +138,9 @@ def test_infidelity_symmetric_and_phase_invariant(rng):
 def test_infidelity_dimension_mismatch():
     with pytest.raises(ValueError):
         entanglement_infidelity(gx(0.0), np.diag(cz()))
+    for shape in ((2, 3), (4,), (2, 2, 2)):
+        with pytest.raises(ValueError, match="square"):
+            entanglement_infidelity(np.ones(shape, dtype=complex), np.ones(shape, dtype=complex))
 
 
 def test_process_infidelity_reduces_to_unitary_form():
@@ -168,6 +171,10 @@ def test_process_infidelity_with_depolarization_vs_superoperator_oracle():
 
 def test_gx_process_infidelity_depolarizing_floor():
     assert gx_process_infidelity(0.0, 0.001) == pytest.approx(0.75 * 0.001, abs=1e-15)
+    assert gx_process_infidelity(0.0, 1.0) == pytest.approx(0.75, abs=1e-15)
+    for p in (1.5, -0.1, np.nan):
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+            gx_process_infidelity(0.1, p)
 
 
 # =============================================================================
