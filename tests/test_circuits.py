@@ -98,9 +98,9 @@ def test_noisy_run_gives_one_bit_and_noise_is_checked():
     with pytest.raises(ValueError):
         NoiseParams(p=1.5)
     # numpy noise probabilities pick the same plan, draw for draw, as Python floats
-    got = final_state(fam.circuits[0], fam, params.deltas, NoiseParams(np.float64(0.3), np.float64(0.3)), stream(2, 1))
-    want = final_state(fam.circuits[0], fam, params.deltas, NoiseParams(0.3, 0.3), stream(2, 1))
-    assert np.array_equal(got, want)
+    states = [final_state(fam.circuits[0], fam, params.deltas, NoiseParams(p, p), stream(2, 1))
+              for p in (0.3, np.float64(0.3))]
+    assert np.array_equal(*states)
 
 
 def test_circuit_validation():
