@@ -92,6 +92,8 @@ class Circuit:
     reps: int = 1
 
     def __post_init__(self) -> None:
+        # tuples all the way down, so a circuit hashes and no caller's list can change it
+        object.__setattr__(self, "ops", tuple(GateOp(name, tuple(targets)) for name, targets in self.ops))
         for name, value in (("n_qubits", self.n_qubits), ("reps", self.reps)):
             if not (isinstance(value, (int, np.integer)) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1")
@@ -122,6 +124,8 @@ class CircuitFamily:
                  gates: dict[str, Callable[[np.ndarray], np.ndarray] | np.ndarray]):
         if not (isinstance(n_params, (int, np.integer)) and n_params >= 1):
             raise ValueError("n_params must be an integer >= 1")
+        if not all(isinstance(c, Circuit) for c in circuits):
+            raise ValueError("every circuit of a family must be a Circuit")
         qubits = {c.n_qubits for c in circuits}
         if len(qubits) != 1:
             raise ValueError("a family needs circuits that share one qubit count")
@@ -144,9 +148,8 @@ class CircuitFamily:
                 if dims[op.name] != 2**len(op.targets):
                     raise ValueError(f"gate {op.name!r} does not act on {len(op.targets)} qubit(s)")
         widest = max(dims.values(), default=1).bit_length() - 1
-        # keyed by id for a cheap per-shot lookup; each entry holds its circuit, so the id stays its own;
         # no op fits a width of -1, so the per-op plan precomposes none
-        self._plans = {id(c): (c, (self._plan(c, widest), self._plan(c, -1))) for c in circuits}
+        self._plans = {c: (self._plan(c, widest), self._plan(c, -1)) for c in circuits}
 
     def gate_unitary(self, name: str, deltas: np.ndarray) -> np.ndarray:
         gate = self._gates[name]
@@ -157,12 +160,10 @@ class CircuitFamily:
         its steps build and its steps over all ``reps`` repetitions, (read-only
         matrix, view dims) for a precomposed run of fixed ops and (name, targets)
         for every other op.  A foreign circuit raises ``ValueError``."""
-        entry = self._plans.get(id(circuit))
-        if entry is None:
-            entry = next((e for e in self._plans.values() if e[0] == circuit), None)
-            if entry is None:
-                raise ValueError(f"circuit is not one of family {self.name!r}'s circuits")
-        return entry[1]
+        try:
+            return self._plans[circuit]
+        except (KeyError, TypeError):  # TypeError: an unhashable argument
+            raise ValueError(f"circuit is not one of family {self.name!r}'s circuits") from None
 
     def _plan(self, circuit: Circuit, widest: int) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
         steps, run = [], []

@@ -4,10 +4,10 @@ The optimum stays fixed during a shot and advances once per shot.  Each
 control parameter drifts independently.  ``DriftBatch`` holds the optima of
 an (n_traj, m) ensemble and advances them in lockstep, in place, drawing
 from one ensemble stream; a single trajectory is the ensemble with
-n_traj = 1.  Every kind is a bank of independent components, zero at init,
-that all step by one rule, c <- decay * c + kick * draw, then any jump; and
-eta_opt = start + sum over banks of scale * (sum of components), so every
-process drifts about its own start, alone or in a composite:
+n_traj = 1.  eta_opt starts at zero: outcomes depend only on eta - eta_opt.
+Every kind is a bank of independent components, zero at init, that all step
+by one rule, c <- decay * c + kick * draw, then any jump; each step writes
+eta_opt = sum over banks of scale * (sum of components) once, in place:
 
 - ``random_walk``: one component with no reversion (decay 1), kick step,
   draw q = +/-1 equiprobable.
@@ -68,25 +68,23 @@ def one_over_f_coefficients() -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class DriftBatch:
-    """Drift state for an (n_traj, m) ensemble advanced in lockstep."""
+    """An (n_traj, m) ensemble's optima: eta_opt starts at zero; each step writes its banks' sum in place."""
 
     eta_opt: np.ndarray                        # (n_traj, m)
-    start: np.ndarray                          # (n_traj, m), eta_opt at init
     banks: list[tuple]                         # one per leaf, depth first; see _banks
     t: int = 0
 
     @classmethod
-    def init(cls, spec: DriftSpec, n_traj: int, m: int, eta_opt0: float | np.ndarray = 0.0) -> "DriftBatch":
-        if not all(isinstance(x, (int, np.integer)) and x >= 1 for x in (n_traj, m)):
+    def init(cls, spec: DriftSpec, n_traj: int, m: int) -> "DriftBatch":
+        if not isinstance(spec, DriftSpec):
+            raise ValueError("spec must be a DriftSpec")
+        if not all(isinstance(x, (int, np.integer)) and type(x) is not bool and x >= 1 for x in (n_traj, m)):
             raise ValueError("n_traj and m must be integers >= 1")
-        eta = np.broadcast_to(eta_opt0, (n_traj, m)).astype(float)
-        if not np.isfinite(eta).all():
-            raise ValueError("eta_opt0 must be finite")
-        return cls(eta_opt=eta, start=eta.copy(), banks=_banks(spec, (n_traj, m)))
+        return cls(eta_opt=np.zeros((n_traj, m)), banks=_banks(spec, (n_traj, m)))
 
     def step(self, rng: Generator) -> None:
         self.t += 1
-        eta_opt = self.start
+        eta_opt = 0.0
         for leaf, components, decay, kick, scale in self.banks:
             components *= decay
             if leaf.kind == "random_walk":

@@ -102,3 +102,11 @@ def test_every_public_member_has_a_caller():
     assert awaiting <= members, "allowlisted members that no longer exist"
     assert sorted(members - called - awaiting) == []
     assert sorted(awaiting & called) == [], "members that gained a caller leave the list"
+
+
+def test_conftest_oracles_import_nothing_from_the_package():
+    """The independent oracles in tests/conftest.py stay independent of driftcal."""
+    tree = ast.parse((ROOT / "tests" / "conftest.py").read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert modules and not [m for m in modules if m.split(".")[0] == "driftcal"]

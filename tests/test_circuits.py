@@ -122,6 +122,23 @@ def test_circuit_validation():
     assert Circuit((GateOp("gx", (np.int64(0),)),), 1).ops[0].targets == (0,)
 
 
+def test_a_planned_circuit_ignores_later_changes_to_the_lists_it_was_built_from():
+    """A circuit stores tuples all the way down, so appending to the caller's
+    op list or target list after the family planned it changes neither
+    ``c.ops``, nor the plan, nor the state, which all match the op-by-op oracle."""
+    targets = [0]
+    ops = [GateOp("gx", targets)]
+    c = Circuit(ops, 1, 2)
+    fam = CircuitFamily("gx", 1, [c], GX_GATES)
+    ops.append(GateOp("gx", [0]))
+    targets.append(1)
+    assert c.ops == (GateOp("gx", (0,)),) and type(c.ops[0].targets) is tuple
+    assert fam.plan(c)[1][1] == (("gx", (0,)),) * 2
+    d = np.array([0.1])
+    want = op_by_op_state([("gx", (0,))], 2, 1, lambda name: fam.gate_unitary(name, d))
+    assert np.allclose(final_state(c, fam, d), want, rtol=0, atol=1e-15)
+
+
 def test_noisy_shot_without_an_rng_raises_before_any_work(monkeypatch):
     fam = gx_family(1)
     built = []
@@ -153,6 +170,9 @@ def test_family_rejects_circuits_that_do_not_fit_its_gate_table():
         CircuitFamily("cz", 1, cz_circuits(), CZ_GATES)
     with pytest.raises(ValueError, match="one qubit count"):
         CircuitFamily("gx", 1, [], GX_GATES)
+    for entries in (["x"], [gx_power(1), None], [(GateOp("gx", (0,)),)]):
+        with pytest.raises(ValueError, match="must be a Circuit"):
+            CircuitFamily("gx", 1, entries, GX_GATES)
     with pytest.raises(ValueError, match="'h' must be a read-only matrix"):
         CircuitFamily("cz", 3, cz_circuits(), {**CZ_GATES, "h": np.array(gates.HADAMARD)})
     for n_params in (0, -1, 1.5, 3.0, "3", None):
@@ -300,6 +320,9 @@ def test_plan_of_an_equal_circuit_and_of_a_foreign_one():
         build_jacobian([gx_power(2)], fam)
     with pytest.raises(ValueError, match="not one of family 'gx'"):
         build_jacobian([fam.circuits[0], gx_power(2)], fam)
+    for foreign in ([GateOp("gx", (0,))], "gx", None, Circuit((GateOp(["gx"], (0,)),), 1)):
+        with pytest.raises(ValueError, match="not one of family 'gx'"):
+            fam.plan(foreign)
     assert np.array_equal(build_jacobian([gx_power(1)], fam).matrix, build_jacobian(fam.circuits, fam).matrix)
 
 

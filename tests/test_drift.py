@@ -9,22 +9,22 @@ from driftcal.rng import ensemble_generator
 
 def test_zero_step_random_walk_is_frozen(rng):
     spec = DriftSpec(kind="random_walk", step=0.0)
-    state = DriftBatch.init(spec, 1, 2, [0.1, -0.2])
+    state = DriftBatch.init(spec, 1, 2)
     for _ in range(100):
         state.step(rng)
-    assert np.allclose(state.eta_opt[0], [0.1, -0.2])
+    assert np.all(state.eta_opt == 0.0)
 
 
 def test_none_kind_is_frozen(rng):
     spec = DriftSpec(kind="none")
-    state = DriftBatch.init(spec, 1, 1, 0.3)
+    state = DriftBatch.init(spec, 1, 1)
     state.step(rng)
-    assert state.eta_opt[0, 0] == 0.3 and state.t == 1
+    assert state.eta_opt[0, 0] == 0.0 and state.t == 1
 
 
 def test_every_kind_keeps_its_start_when_motionless(rng):
-    """With zero motion every kind holds eta_opt exactly at its start, even
-    where it reverts: an OU process reverts to its start."""
+    """With zero motion every kind holds eta_opt exactly at its start, zero,
+    even where it reverts: an OU process reverts to zero."""
     walk = DriftSpec(kind="random_walk", step=0.0)
     still = dict(reversion=0.5, volatility=0.0, jump_at=100)
     specs = (DriftSpec(kind="none"), walk, DriftSpec(kind="ornstein_uhlenbeck", **still),
@@ -32,16 +32,16 @@ def test_every_kind_keeps_its_start_when_motionless(rng):
              DriftSpec(kind="composite", parts=(walk,)))
     assert {spec.kind for spec in specs} == set(KINDS)
     for spec in specs:
-        state = DriftBatch.init(spec, 2, 1, 0.3)
+        state = DriftBatch.init(spec, 2, 1)
         for _ in range(5):
             state.step(rng)
-        assert np.all(state.eta_opt == 0.3), spec.kind
+        assert np.all(state.eta_opt == 0.0), spec.kind
 
 
 def test_every_kind_drifts_about_its_own_start():
     """A spec alone and as the one part of a composite, on identical streams,
-    move eta_opt bit for bit alike from start 0.3: both step the same banks.
-    A lone jump decays toward the start."""
+    move eta_opt bit for bit alike from zero: both step the same banks.
+    A lone jump decays toward zero."""
     walk = DriftSpec(kind="random_walk", step=0.01)
     moving = dict(reversion=0.05, volatility=1e-3, jump_at=20)
     specs = (DriftSpec(kind="none"), walk, DriftSpec(kind="ornstein_uhlenbeck", **moving),
@@ -49,43 +49,57 @@ def test_every_kind_drifts_about_its_own_start():
              DriftSpec(kind="composite", parts=(walk,)))
     assert {spec.kind for spec in specs} == set(KINDS)
     for spec in specs:
-        alone = DriftBatch.init(spec, 3, 2, 0.3)
-        wrapped = DriftBatch.init(DriftSpec(kind="composite", parts=(spec,)), 3, 2, 0.3)
+        alone = DriftBatch.init(spec, 3, 2)
+        wrapped = DriftBatch.init(DriftSpec(kind="composite", parts=(spec,)), 3, 2)
         gen_alone, gen_wrapped = ensemble_generator(8), ensemble_generator(8)
         for _ in range(50):
             alone.step(gen_alone)
             wrapped.step(gen_wrapped)
         assert np.array_equal(alone.eta_opt, wrapped.eta_opt), spec.kind
-    jump = DriftBatch.init(DriftSpec(kind="jump", reversion=0.5, volatility=0.0, jump_at=5), 1, 1, 0.3)
+    jump = DriftBatch.init(DriftSpec(kind="jump", reversion=0.5, volatility=0.0, jump_at=5), 1, 1)
     gen = ensemble_generator(9)
     for _ in range(10):
         jump.step(gen)
-    assert jump.eta_opt[0, 0] == pytest.approx(0.3 + 0.15 * np.exp(-0.5 * 5), abs=1e-15)
+    assert jump.eta_opt[0, 0] == pytest.approx(0.15 * np.exp(-0.5 * 5), abs=1e-15)
 
 
 def test_init_start_must_broadcast_to_ensemble_shape():
-    """A start of length n_traj with m=1 is rejected; an (n_traj, 1) column is
-    kept; an ensemble with no trajectory, no parameter or a count that is not
-    an integer is rejected; numpy integer counts build; a NaN or infinite
-    start is rejected."""
+    """The ensemble starts at zero in its (n_traj, m) shape; an ensemble with
+    no trajectory, no parameter or a count that is not an integer (a bool
+    included) is rejected, and so is a spec that is not a DriftSpec; numpy
+    integer counts build."""
     spec = DriftSpec(kind="random_walk", step=0.1)
-    for n_traj, m in ((0, 1), (1, 0), (-1, 2), (1.5, 1), (1, 2.5), (float("nan"), 1)):
-        with pytest.raises(ValueError):
+    for n_traj, m in ((0, 1), (1, 0), (-1, 2), (1.5, 1), (1, 2.5), (float("nan"), 1),
+                      (True, True), (True, 1), (2, False), (np.bool_(True), 1)):
+        with pytest.raises(ValueError, match="n_traj and m"):
             DriftBatch.init(spec, n_traj, m)
-    assert DriftBatch.init(spec, np.int64(2), np.int64(3)).eta_opt.shape == (2, 3)
-    with pytest.raises(ValueError):
-        DriftBatch.init(spec, 3, 1, np.array([0.1, 0.2, 0.3]))
-    start = np.array([[0.1], [0.2], [0.3]])
-    batch = DriftBatch.init(spec, 3, 1, start)
-    assert batch.eta_opt.shape == (3, 1)
-    assert np.array_equal(batch.eta_opt, start)
-    batch.step(ensemble_generator(5))   # steps a copy, not the caller's array
-    assert np.array_equal(start[:, 0], [0.1, 0.2, 0.3])
-    assert not np.array_equal(batch.eta_opt, start)
-    for bad in (np.nan, np.inf, -np.inf):
-        for start in (bad, np.array([[0.1], [bad], [0.3]])):
-            with pytest.raises(ValueError, match="finite"):
-                DriftBatch.init(spec, 3, 1, start)
+    for bad in ("random_walk", None, {"kind": "random_walk"}):
+        with pytest.raises(ValueError, match="DriftSpec"):
+            DriftBatch.init(bad, 2, 1)
+    batch = DriftBatch.init(spec, np.int64(2), np.int64(3))
+    assert batch.eta_opt.shape == (2, 3) and np.all(batch.eta_opt == 0.0)
+
+
+def test_steps_write_eta_opt_in_place():
+    """Every kind, a composite included, writes each step into the array made
+    at init: a row view taken then follows every step, as callers that alias
+    the rows rely on."""
+    walk = DriftSpec(kind="random_walk", step=0.01)
+    moving = dict(reversion=0.05, volatility=1e-3, jump_at=3)
+    specs = (DriftSpec(kind="none"), walk, DriftSpec(kind="ornstein_uhlenbeck", **moving),
+             DriftSpec(kind="jump", **moving), DriftSpec(kind="one_over_f"),
+             DriftSpec(kind="composite", parts=(walk, DriftSpec(kind="one_over_f"))))
+    assert {spec.kind for spec in specs} == set(KINDS)
+    for spec in specs:
+        batch = DriftBatch.init(spec, 3, 2)
+        array, rows = batch.eta_opt, [batch.eta_opt[i] for i in range(3)]
+        gen = ensemble_generator(21)
+        for _ in range(6):
+            batch.step(gen)
+            assert batch.eta_opt is array, spec.kind
+            for i, row in enumerate(rows):
+                assert np.array_equal(row, batch.eta_opt[i]), spec.kind
+        assert spec.kind == "none" or batch.eta_opt.any()
 
 
 def test_random_walk_variance_grows_linearly():
@@ -116,7 +130,7 @@ def test_sequential_walk_matches_batch_statistics():
     t, n = 200, 2000
     finals = np.empty(n)
     for i in range(n):
-        state = DriftBatch.init(spec, 1, 1, 0.0)
+        state = DriftBatch.init(spec, 1, 1)
         gen = stream(99, i)
         for _ in range(t):
             state.step(gen)
@@ -141,7 +155,7 @@ def test_ou_stationary_variance():
 def test_jump_deterministic_component(rng):
     """With zero OU coefficients the jump is the only motion."""
     spec = DriftSpec(kind="jump", reversion=0.0, volatility=0.0, jump_at=5, jump_size=0.15)
-    state = DriftBatch.init(spec, 1, 1, 0.0)
+    state = DriftBatch.init(spec, 1, 1)
     trace = []
     for _ in range(10):
         state.step(rng)
@@ -171,7 +185,7 @@ def test_one_over_f_coefficients_exact():
 
 def test_one_over_f_sums_components(rng):
     spec = DriftSpec(kind="one_over_f", scale=0.001)
-    state = DriftBatch.init(spec, 1, 1, 0.0)
+    state = DriftBatch.init(spec, 1, 1)
     for _ in range(50):
         state.step(rng)
     (leaf, components, decay, kick, scale), = state.banks
@@ -184,24 +198,24 @@ def test_one_over_f_sums_components(rng):
 def test_composite_sums_parts(rng):
     part = DriftSpec(kind="jump", reversion=0.0, volatility=0.0, jump_at=1, jump_size=0.1)
     spec = DriftSpec(kind="composite", parts=(part, part))
-    state = DriftBatch.init(spec, 1, 1, 0.0)
+    state = DriftBatch.init(spec, 1, 1)
     state.step(rng)
     assert state.eta_opt[0, 0] == pytest.approx(0.2)
 
 
 def test_composite_is_its_start_plus_its_parts_stepped_in_order():
-    """A composite of every moving leaf kind equals its start plus each part
-    stepped alone from 0, the parts in order on one stream, bit for bit."""
+    """A composite of every moving leaf kind, from its start at zero, equals
+    the sum of each part stepped alone, the parts in order on one stream, bit
+    for bit."""
     moving = dict(reversion=0.05, volatility=1e-3, jump_at=7)
     leaves = (DriftSpec(kind="random_walk", step=0.01), DriftSpec(kind="ornstein_uhlenbeck", **moving),
               DriftSpec(kind="jump", **moving), DriftSpec(kind="one_over_f", scale=0.02))
-    start = np.array([[0.3, -0.2], [0.1, 0.7], [-0.4, 0.05]])
-    whole = DriftBatch.init(DriftSpec(kind="composite", parts=leaves), 3, 2, start)
+    whole = DriftBatch.init(DriftSpec(kind="composite", parts=leaves), 3, 2)
     parts = [DriftBatch.init(leaf, 3, 2) for leaf in leaves]
     gen_whole, gen_parts = ensemble_generator(13), ensemble_generator(13)
     for _ in range(30):
         whole.step(gen_whole)
-        expected = start.copy()
+        expected = np.zeros((3, 2))
         for part in parts:
             part.step(gen_parts)
             expected += part.eta_opt

@@ -26,7 +26,7 @@ STEPS = st.integers(1, 30)
 @given(kind=st.sampled_from(KINDS), n=st.integers(1, 4), m=st.integers(1, 3),
        steps=STEPS, seed=SEEDS)
 def test_drift_is_bit_reproducible(kind, n, m, steps, seed):
-    a, b = (DriftBatch.init(SPECS[kind], n, m, 0.1) for _ in range(2))
+    a, b = (DriftBatch.init(SPECS[kind], n, m) for _ in range(2))
     gen_a, gen_b = ensemble_generator(seed, 1), ensemble_generator(seed, 1)
     for _ in range(steps):
         a.step(gen_a)
