@@ -1,13 +1,14 @@
 """Circuit representation, noisy execution, and the exact Jacobian.
 
 A ``Circuit`` stores its gate sequence in execution order (first-applied
-first) and a whole-sequence repetition count.  Circuits start from |0...0>
-and end with a computational-basis measurement.
+first), ``ops``, as a tuple of (name, targets) pairs, and a whole-sequence
+repetition count.  Circuits start from |0...0> and end in a measurement.
 
-A ``CircuitFamily`` is a gate table and the probe circuits it runs.  The
-table maps a gate name to a builder of the gate's unitary (a diagonal gate's
-1-D diagonal, as ``simcore`` takes it) from the parameter errors, or, for a
-fixed gate that reads no error, to its read-only matrix.
+A ``CircuitFamily`` is a gate table and the probe circuits it runs, kept as
+its own tuple of circuits and copy of the table.  The table maps a gate name
+to a builder of the gate's unitary (a diagonal gate's 1-D diagonal, as
+``simcore`` takes it) from the parameter errors, or, for a fixed gate that
+reads no error, to its read-only matrix.
 The table is checked against the circuits when the family is built: an op
 that names a gate outside the table, or whose target count does not match the
 gate's dimension, a gate that reads more errors than the family has
@@ -16,11 +17,11 @@ mid-run.
 
 The family also plans each circuit once, at build, into two flat lists of
 plain (key, where) steps over the whole shot, all ``reps`` included, each
-with the gate names its steps build.  The per-op list makes every op a
-(name, targets) step.  The noiseless list is one repetition's steps, repeated
-``reps`` times: consecutive fixed ops whose qubits span a contiguous block
-t0..t0+k-1 no wider than the family's widest gate become one step, their
-product (composed on a stack of basis states with the checked
+with the gate names its steps build.  The per-op list is the circuit's
+``ops`` repeated ``reps`` times.  The noiseless list repeats one
+repetition's steps: consecutive fixed ops whose qubits span a contiguous
+block t0..t0+k-1 no wider than the family's widest gate become one step,
+their product (composed on a stack of basis states with the checked
 ``apply_unitary``, so any target order works) kept read-only with its
 (2**k, rest) view dims; every other op is a (name, targets) step.  Plans are
 checked once, when made, so precomposed steps go through ``apply_block``,
@@ -69,7 +70,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.random import Generator
@@ -80,30 +80,28 @@ from .simcore import (apply_block, apply_depolarizing, apply_unitary, measure_co
                       outcome_distribution, zero_state)
 
 
-class GateOp(NamedTuple):
-    name: str
-    targets: tuple[int, ...]
-
-
 @dataclass(frozen=True)
 class Circuit:
-    ops: tuple[GateOp, ...]
+    ops: tuple[tuple[str, tuple[int, ...]], ...]
     n_qubits: int
     reps: int = 1
 
     def __post_init__(self) -> None:
         # tuples all the way down, so a circuit hashes and no caller's list can change it
-        object.__setattr__(self, "ops", tuple(GateOp(name, tuple(targets)) for name, targets in self.ops))
+        try:
+            object.__setattr__(self, "ops", tuple((name, tuple(targets)) for name, targets in self.ops))
+        except (TypeError, ValueError):
+            raise ValueError("every op must be a (gate name, targets) pair") from None
         for name, value in (("n_qubits", self.n_qubits), ("reps", self.reps)):
-            if not (isinstance(value, (int, np.integer)) and value >= 1):
+            if not (isinstance(value, (int, np.integer)) and type(value) is not bool and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1")
-        for op in self.ops:
-            if not all(isinstance(t, (int, np.integer)) for t in op.targets):
-                raise ValueError(f"gate {op.name} has a target that is not an integer")
-            if len(set(op.targets)) != len(op.targets):
-                raise ValueError(f"gate {op.name} repeats a target")
-            if any(t < 0 or t >= self.n_qubits for t in op.targets):
-                raise ValueError(f"gate {op.name} targets out of range")
+        for name, targets in self.ops:
+            if not all(isinstance(t, (int, np.integer)) and type(t) is not bool for t in targets):
+                raise ValueError(f"gate {name} has a target that is not an integer")
+            if len(set(targets)) != len(targets):
+                raise ValueError(f"gate {name} repeats a target")
+            if any(t < 0 or t >= self.n_qubits for t in targets):
+                raise ValueError(f"gate {name} targets out of range")
 
 
 @dataclass(frozen=True)
@@ -118,12 +116,14 @@ class NoiseParams:
 
 class CircuitFamily:
     """A gate table (name -> builder(deltas) or fixed read-only matrix) and
-    the probe circuits it runs, each planned once into noiseless and per-op steps."""
+    the probe circuits it runs, each planned once into noiseless and per-op
+    steps.  The family keeps a tuple of the circuits and a copy of the table."""
 
     def __init__(self, name: str, n_params: int, circuits: list[Circuit],
                  gates: dict[str, Callable[[np.ndarray], np.ndarray] | np.ndarray]):
-        if not (isinstance(n_params, (int, np.integer)) and n_params >= 1):
+        if not (isinstance(n_params, (int, np.integer)) and type(n_params) is not bool and n_params >= 1):
             raise ValueError("n_params must be an integer >= 1")
+        circuits, gates = tuple(circuits), dict(gates)  # what the plans are built from stays put
         if not all(isinstance(c, Circuit) for c in circuits):
             raise ValueError("every circuit of a family must be a Circuit")
         qubits = {c.n_qubits for c in circuits}
@@ -142,14 +142,14 @@ class CircuitFamily:
         except IndexError as exc:
             raise ValueError(f"family {name!r}: a gate reads more than {n_params} error(s)") from exc
         for circuit in circuits:
-            for op in circuit.ops:
-                if op.name not in dims:
-                    raise ValueError(f"family {name!r} has no gate {op.name!r}")
-                if dims[op.name] != 2**len(op.targets):
-                    raise ValueError(f"gate {op.name!r} does not act on {len(op.targets)} qubit(s)")
+            for gate, targets in circuit.ops:
+                if gate not in dims:
+                    raise ValueError(f"family {name!r} has no gate {gate!r}")
+                if dims[gate] != 2**len(targets):
+                    raise ValueError(f"gate {gate!r} does not act on {len(targets)} qubit(s)")
         widest = max(dims.values(), default=1).bit_length() - 1
-        # no op fits a width of -1, so the per-op plan precomposes none
-        self._plans = {c: (self._plan(c, widest), self._plan(c, -1)) for c in circuits}
+        self._plans = {c: (self._plan(c, widest), (tuple(dict.fromkeys(n for n, _ in c.ops)), c.ops * c.reps))
+                       for c in circuits}
 
     def gate_unitary(self, name: str, deltas: np.ndarray) -> np.ndarray:
         gate = self._gates[name]
@@ -157,9 +157,11 @@ class CircuitFamily:
 
     def plan(self, circuit: Circuit) -> tuple[tuple[tuple[str, ...], tuple[tuple, ...]], ...]:
         """The noiseless and the per-op plan of ``circuit``: each the gate names
-        its steps build and its steps over all ``reps`` repetitions, (read-only
-        matrix, view dims) for a precomposed run of fixed ops and (name, targets)
-        for every other op.  A foreign circuit raises ``ValueError``."""
+        its steps build and its steps over all ``reps`` repetitions.  The per-op
+        steps are ``circuit.ops``, the (name, targets) pairs, repeated ``reps``
+        times; the noiseless ones hold (read-only matrix, view dims) for a
+        precomposed run of fixed ops and (name, targets) for every other op.  A
+        foreign circuit raises ``ValueError``."""
         try:
             return self._plans[circuit]
         except (KeyError, TypeError):  # TypeError: an unhashable argument
@@ -167,8 +169,8 @@ class CircuitFamily:
 
     def _plan(self, circuit: Circuit, widest: int) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
         steps, run = [], []
-        for op in circuit.ops:
-            if isinstance(self._gates[op.name], np.ndarray):
+        for op in circuit.ops:  # a (name, targets) pair, kept whole as a step
+            if isinstance(self._gates[op[0]], np.ndarray):
                 if run and _span(run + [op])[1] > widest:
                     steps.append(self._compose(run))
                     run = []
@@ -178,27 +180,27 @@ class CircuitFamily:
             if run:
                 steps.append(self._compose(run))
                 run = []
-            steps.append((op.name, op.targets))
+            steps.append(op)
         if run:
             steps.append(self._compose(run))
         names = tuple(dict.fromkeys(key for key, _ in steps if isinstance(key, str)))
         return names, tuple(steps) * circuit.reps
 
-    def _compose(self, run: list[GateOp]) -> tuple[np.ndarray, tuple[int, int]]:
+    def _compose(self, run: list[tuple]) -> tuple[np.ndarray, tuple[int, int]]:
         """The product of fixed ops on the block they span, as a read-only matrix
         with its (2**k, rest) view dims; a stack of basis states makes one call per op."""
         t0, k = _span(run)
         rows = np.eye(1 << k, dtype=complex)
-        for op in run:  # simcore's own name, so a wrapped circuits.apply_unitary sees shots only
-            rows = simcore.apply_unitary(rows, self._gates[op.name], [t - t0 for t in op.targets])
+        for name, targets in run:  # simcore's own name, so a wrapped circuits.apply_unitary sees shots only
+            rows = simcore.apply_unitary(rows, self._gates[name], [t - t0 for t in targets])
         u = rows.T.copy()
         u.flags.writeable = False
         return u, (1 << k, 1 << (self.n_qubits - t0 - k))
 
 
-def _span(ops: list[GateOp]) -> tuple[int, int]:
+def _span(ops: list[tuple]) -> tuple[int, int]:
     """(first qubit, width) of the contiguous block the targets of ``ops`` span."""
-    qubits = [t for op in ops for t in op.targets]
+    qubits = [t for _, targets in ops for t in targets]
     if not qubits:
         return 0, 0
     return min(qubits), max(qubits) - min(qubits) + 1
@@ -223,7 +225,7 @@ CZ_GATES = {
 
 def gx_power(reps: int = 1) -> Circuit:
     """(gx)^reps on one qubit; reps odd -> indefinite, even -> definite."""
-    return Circuit((GateOp("gx", (0,)),), n_qubits=1, reps=reps)
+    return Circuit((("gx", (0,)),), n_qubits=1, reps=reps)
 
 
 def gx_family(reps: int = 1) -> CircuitFamily:
@@ -232,8 +234,8 @@ def gx_family(reps: int = 1) -> CircuitFamily:
 
 def gxgy_circuits(reps: int = 1) -> list[Circuit]:
     # written right-to-left in the usual circuit notation; stored in execution order
-    c1 = tuple(GateOp(n, (0,)) for n in ("gx", "gy", "gx", "gy", "gx"))
-    c2 = tuple(GateOp(n, (0,)) for n in ("gy", "gx", "gy", "gx", "gy", "gx", "gx"))
+    c1 = tuple((n, (0,)) for n in ("gx", "gy", "gx", "gy", "gx"))
+    c2 = tuple((n, (0,)) for n in ("gy", "gx", "gy", "gx", "gy", "gx", "gx"))
     return [Circuit(c1, 1, reps), Circuit(c2, 1, reps)]
 
 
@@ -242,12 +244,8 @@ def gxgy_family(reps: int = 1) -> CircuitFamily:
 
 
 def cz_circuits(reps: int = 1) -> list[Circuit]:
-    def seq(gx_target: int) -> tuple[GateOp, ...]:
-        ops = [GateOp("h", (0,)), GateOp("h", (1,))]
-        for _ in range(3):
-            ops.append(GateOp("gx0", (gx_target,)))
-            ops.append(GateOp("cz", (0, 1)))
-        return tuple(ops)
+    def seq(gx_target: int) -> tuple[tuple, ...]:
+        return (("h", (0,)), ("h", (1,))) + (("gx0", (gx_target,)), ("cz", (0, 1))) * 3
 
     return [Circuit(seq(1), 2, reps), Circuit(seq(0), 2, reps)]
 

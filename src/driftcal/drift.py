@@ -50,7 +50,8 @@ class DriftSpec:
             raise ValueError("drift magnitudes and scale must be finite nonnegative numbers")
         if not np.isfinite(self.jump_size):
             raise ValueError("jump_size must be finite")
-        if not (isinstance(self.jump_at, (int, np.integer)) and self.jump_at >= 1):
+        jump_at = self.jump_at
+        if not (isinstance(jump_at, (int, np.integer)) and type(jump_at) is not bool and jump_at >= 1):
             raise ValueError("jump_at must be an integer >= 1")
         if (self.kind == "composite") != bool(self.parts):
             raise ValueError("composite drift needs at least one part, and only composite drift has parts")

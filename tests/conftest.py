@@ -68,11 +68,6 @@ def _pauli_on(which: int, targets, n: int) -> np.ndarray:
     return pauli_matrix("".join(label))
 
 
-def unitary_density(rho: np.ndarray, u: np.ndarray, targets: list[int], n: int) -> np.ndarray:
-    full = embed_unitary(u, targets, n)
-    return full @ rho @ full.conj().T
-
-
 def embed_unitary(u: np.ndarray, targets: list[int], n: int) -> np.ndarray:
     """Dense n-qubit embedding of ``u`` acting on ``targets``; a 1-D ``u`` is a
     diagonal gate's diagonal."""

@@ -9,9 +9,9 @@ from driftcal import gates
 from driftcal.circuits import (
     CZ_GATES,
     GX_GATES,
+    GXGY_GATES,
     Circuit,
     CircuitFamily,
-    GateOp,
     NoiseParams,
     apply_unitary,
     build_jacobian,
@@ -21,6 +21,7 @@ from driftcal.circuits import (
     final_state,
     gx_family,
     gx_power,
+    gxgy_circuits,
     gxgy_family,
     pseudoinverse_estimate,
     run_circuit,
@@ -105,21 +106,28 @@ def test_noisy_run_gives_one_bit_and_noise_is_checked():
 
 def test_circuit_validation():
     with pytest.raises(ValueError):
-        Circuit((GateOp("gx", (0,)),), n_qubits=1, reps=0)
+        Circuit((("gx", (0,)),), n_qubits=1, reps=0)
     with pytest.raises(ValueError):
-        Circuit((GateOp("gx", (1,)),), n_qubits=1)
+        Circuit((("gx", (1,)),), n_qubits=1)
     with pytest.raises(ValueError, match="repeats a target"):
-        Circuit((GateOp("cz", (0, 0)),), n_qubits=2)
+        Circuit((("cz", (0, 0)),), n_qubits=2)
     with pytest.raises(ValueError, match="n_qubits"):
         CircuitFamily("gx", 1, [Circuit((), 0)], GX_GATES)
-    with pytest.raises(ValueError, match="reps"):
-        Circuit((GateOp("gx", (0,)),), 1, reps=1.5)
-    with pytest.raises(ValueError, match="n_qubits"):
-        Circuit((GateOp("gx", (0,)),), 1.5)
+    for reps in (1.5, True):
+        with pytest.raises(ValueError, match="reps"):
+            Circuit((("gx", (0,)),), 1, reps=reps)
+    for n_qubits in (1.5, True):
+        with pytest.raises(ValueError, match="n_qubits"):
+            Circuit((("gx", (0,)),), n_qubits)
     with pytest.raises(ValueError, match="not an integer"):
-        Circuit((GateOp("gx", (0.0,)),), 1)
-    assert Circuit((GateOp("gx", (0,)),), np.int64(1), reps=np.int64(3)).reps == 3
-    assert Circuit((GateOp("gx", (np.int64(0),)),), 1).ops[0].targets == (0,)
+        Circuit((("gx", (0.0,)),), 1)
+    with pytest.raises(ValueError, match="not an integer"):
+        Circuit((("cz", (0, True)),), 2)
+    for ops in ((5,), (("gx", 0),), (("gx", (0,), "extra"),)):
+        with pytest.raises(ValueError, match=r"\(gate name, targets\) pair"):
+            Circuit(ops, 1)
+    assert Circuit((("gx", (0,)),), np.int64(1), reps=np.int64(3)).reps == 3
+    assert Circuit((("gx", (np.int64(0),)),), 1).ops == (("gx", (0,)),)
 
 
 def test_a_planned_circuit_ignores_later_changes_to_the_lists_it_was_built_from():
@@ -127,16 +135,45 @@ def test_a_planned_circuit_ignores_later_changes_to_the_lists_it_was_built_from(
     op list or target list after the family planned it changes neither
     ``c.ops``, nor the plan, nor the state, which all match the op-by-op oracle."""
     targets = [0]
-    ops = [GateOp("gx", targets)]
+    ops = [("gx", targets)]
     c = Circuit(ops, 1, 2)
     fam = CircuitFamily("gx", 1, [c], GX_GATES)
-    ops.append(GateOp("gx", [0]))
+    ops.append(("gx", [0]))
     targets.append(1)
-    assert c.ops == (GateOp("gx", (0,)),) and type(c.ops[0].targets) is tuple
+    assert c.ops == (("gx", (0,)),) and type(c.ops[0][1]) is tuple
     assert fam.plan(c)[1][1] == (("gx", (0,)),) * 2
     d = np.array([0.1])
     want = op_by_op_state([("gx", (0,))], 2, 1, lambda name: fam.gate_unitary(name, d))
     assert np.allclose(final_state(c, fam, d), want, rtol=0, atol=1e-15)
+
+
+def test_a_family_ignores_later_changes_to_its_circuit_list():
+    """The family keeps its own tuple of circuits, so appending to the caller's
+    list leaves ``fam.circuits`` and the Jacobian over it as they were."""
+    cs = gxgy_circuits(1)
+    fam = CircuitFamily("gxgy", 2, cs, GXGY_GATES)
+    want = build_jacobian(fam.circuits, fam).matrix
+    cs.append(gxgy_circuits(2)[0])
+    assert fam.circuits == tuple(cs[:2])
+    assert np.array_equal(build_jacobian(fam.circuits, fam).matrix, want)
+
+
+def test_a_family_ignores_later_changes_to_its_gate_table():
+    """The family keeps its own copy of the table, so replacing a fixed gate in
+    the caller's dict after the build reaches neither plan: the noiseless walk
+    (fixed ops precomposed at build) and the per-op walk (each gate looked up
+    per shot, here with a noise level that never fires) both match the
+    op-by-op oracle over the table as it was; no built-in family shares the
+    module's table."""
+    table = dict(CZ_GATES)
+    fam = CircuitFamily("cz", 3, cz_circuits(), table)
+    table["gx0"] = gates.HADAMARD
+    d, ref = np.array([0.1, -0.2, 0.05]), cz_family(1)
+    for ci, c in enumerate(fam.circuits):
+        want = op_by_op_state(c.ops, 1, 2, lambda name: ref.gate_unitary(name, d))
+        for state in (final_state(c, fam, d), final_state(c, fam, d, NoiseParams(1e-300, 0), stream(13, ci))):
+            assert np.allclose(state, want, rtol=0, atol=1e-12)
+    assert cz_family(1)._gates is not CZ_GATES
 
 
 def test_noisy_shot_without_an_rng_raises_before_any_work(monkeypatch):
@@ -158,24 +195,24 @@ def test_noisy_shot_without_an_rng_raises_before_any_work(monkeypatch):
 
 def test_family_rejects_circuits_that_do_not_fit_its_gate_table():
     with pytest.raises(ValueError, match="no gate 'gz'"):
-        CircuitFamily("gx", 1, [Circuit((GateOp("gz", (0,)),), 1)], GX_GATES)
+        CircuitFamily("gx", 1, [Circuit((("gz", (0,)),), 1)], GX_GATES)
     with pytest.raises(ValueError, match="'cz' does not act on 1 qubit"):
-        CircuitFamily("cz", 3, [Circuit((GateOp("cz", (0,)),), 2)], CZ_GATES)
+        CircuitFamily("cz", 3, [Circuit((("cz", (0,)),), 2)], CZ_GATES)
     with pytest.raises(ValueError, match="'h' does not act on 2 qubit"):
-        CircuitFamily("cz", 3, [Circuit((GateOp("h", (0, 1)),), 2)], CZ_GATES)
-    mixed = [Circuit((GateOp("h", (0,)),), 1), Circuit((GateOp("cz", (0, 1)),), 2)]
+        CircuitFamily("cz", 3, [Circuit((("h", (0, 1)),), 2)], CZ_GATES)
+    mixed = [Circuit((("h", (0,)),), 1), Circuit((("cz", (0, 1)),), 2)]
     with pytest.raises(ValueError, match="one qubit count"):
         CircuitFamily("cz", 3, mixed, CZ_GATES)
     with pytest.raises(ValueError, match="reads more than 1 error"):
         CircuitFamily("cz", 1, cz_circuits(), CZ_GATES)
     with pytest.raises(ValueError, match="one qubit count"):
         CircuitFamily("gx", 1, [], GX_GATES)
-    for entries in (["x"], [gx_power(1), None], [(GateOp("gx", (0,)),)]):
+    for entries in (["x"], [gx_power(1), None], [(("gx", (0,)),)]):
         with pytest.raises(ValueError, match="must be a Circuit"):
             CircuitFamily("gx", 1, entries, GX_GATES)
     with pytest.raises(ValueError, match="'h' must be a read-only matrix"):
         CircuitFamily("cz", 3, cz_circuits(), {**CZ_GATES, "h": np.array(gates.HADAMARD)})
-    for n_params in (0, -1, 1.5, 3.0, "3", None):
+    for n_params in (0, -1, 1.5, 3.0, "3", None, True, False):
         with pytest.raises(ValueError, match="n_params must be an integer >= 1"):
             CircuitFamily("cz", n_params, cz_circuits(), CZ_GATES)
     assert CircuitFamily("cz", np.int64(3), cz_circuits(), CZ_GATES).n_params == 3
@@ -272,8 +309,7 @@ def test_planned_state_matches_op_by_op_product(make, reps):
     for _ in range(5):
         d = gen.uniform(-0.3, 0.3, fam.n_params)
         for circuit in fam.circuits:
-            ops = [(op.name, op.targets) for op in circuit.ops]
-            want = op_by_op_state(ops, reps, fam.n_qubits, lambda name: fam.gate_unitary(name, d))
+            want = op_by_op_state(circuit.ops, reps, fam.n_qubits, lambda name: fam.gate_unitary(name, d))
             assert np.allclose(final_state(circuit, fam, d), want, rtol=0, atol=1e-12)
 
 
@@ -285,7 +321,7 @@ HAND_OPS = (("h", (0,)), ("cx", (1, 0)), ("h", (2,)), ("gx", (1,)), ("cx", (0, 2
 
 def hand_family(reps: int = 1) -> CircuitFamily:
     """One 3-qubit circuit of fixed h and cx ops around a gx, widest gate 2 qubits."""
-    return CircuitFamily("hand", 1, [Circuit(tuple(GateOp(n, t) for n, t in HAND_OPS), 3, reps)], HAND_TABLE)
+    return CircuitFamily("hand", 1, [Circuit(HAND_OPS, 3, reps)], HAND_TABLE)
 
 
 def test_plan_falls_back_for_wide_runs_and_far_gates():
@@ -320,7 +356,7 @@ def test_plan_of_an_equal_circuit_and_of_a_foreign_one():
         build_jacobian([gx_power(2)], fam)
     with pytest.raises(ValueError, match="not one of family 'gx'"):
         build_jacobian([fam.circuits[0], gx_power(2)], fam)
-    for foreign in ([GateOp("gx", (0,))], "gx", None, Circuit((GateOp(["gx"], (0,)),), 1)):
+    for foreign in ([("gx", (0,))], "gx", None, Circuit(((["gx"], (0,)),), 1)):
         with pytest.raises(ValueError, match="not one of family 'gx'"):
             fam.plan(foreign)
     assert np.array_equal(build_jacobian([gx_power(1)], fam).matrix, build_jacobian(fam.circuits, fam).matrix)
@@ -329,21 +365,20 @@ def test_plan_of_an_equal_circuit_and_of_a_foreign_one():
 @pytest.mark.parametrize("reps", [1, 2, 5])
 @pytest.mark.parametrize("make", [gx_family, gxgy_family, cz_family, hand_family])
 def test_plan_lists_cover_every_repetition_as_plain_tuples(make, reps):
-    """The per-op list is every op as its own (name, targets) step, all
+    """The per-op list is the circuit's own (name, targets) pairs, all
     repetitions included, naming the distinct op names in first-use order; the
     noiseless list is the one-repetition family's steps, repeated reps times."""
     fam, single = make(reps), make(1)
     for circuit, one in zip(fam.circuits, single.circuits):
-        (names, steps), (op_names, op_steps) = fam.plan(circuit)
-        assert list(op_steps) == [(op.name, op.targets) for op in circuit.ops] * reps
-        assert op_names == tuple(dict.fromkeys(op.name for op in circuit.ops))
+        (names, steps), per_op = fam.plan(circuit)
+        assert per_op == (tuple(dict.fromkeys(n for n, _ in circuit.ops)), circuit.ops * reps)
         (one_names, one_steps), _ = single.plan(one)
         k = len(one_steps)
         assert names == one_names and len(steps) == reps * k
         assert all(steps[i] is steps[i % k] for i in range(len(steps)))
         for (key, where), (one_key, one_where) in zip(steps, one_steps):
             assert where == one_where and np.array_equal(key, one_key)
-        assert all(type(step) is tuple for step in steps + op_steps)
+        assert all(type(step) is tuple for step in steps + per_op[1])
 
 
 @pytest.mark.parametrize("make, reps", [(gx_family, 21), (gxgy_family, 1), (cz_family, 1), (cz_family, 2)])
@@ -372,13 +407,13 @@ def test_table_gates_are_unitary_and_states_normalized(deltas, reps):
     for fam in (gx_family(reps), gxgy_family(reps), cz_family(reps)):
         d = np.array(deltas[:fam.n_params])
         for ci, circuit in enumerate(fam.circuits):
-            for op in circuit.ops:
-                u = fam.gate_unitary(op.name, d)
+            for name, targets in circuit.ops:
+                u = fam.gate_unitary(name, d)
                 if u.ndim == 1:  # a diagonal gate's diagonal: unit-modulus entries
-                    assert u.shape == (2**len(op.targets),)
+                    assert u.shape == (2**len(targets),)
                     assert np.allclose(np.abs(u), 1.0, rtol=0, atol=1e-12)
                 else:
-                    assert u.shape == (2**len(op.targets),) * 2
+                    assert u.shape == (2**len(targets),) * 2
                     assert np.allclose(u.conj().T @ u, np.eye(len(u)), atol=1e-12)
             for state in (final_state(circuit, fam, d),
                           final_state(circuit, fam, d, noise, stream(5, ci))):

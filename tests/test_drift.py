@@ -250,7 +250,7 @@ def test_spec_validation():
             with pytest.raises(ValueError):
                 DriftSpec(kind="one_over_f", **{name: bad})
     for name, bad in (("jump_size", nan), ("jump_size", float("inf")), ("jump_at", nan),
-                      ("jump_at", 2.5)):
+                      ("jump_at", 2.5), ("jump_at", True)):
         with pytest.raises(ValueError):
             DriftSpec(kind="jump", **{name: bad})
     assert DriftSpec(kind="jump", jump_at=np.int64(3)).jump_at == 3
