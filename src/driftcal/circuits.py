@@ -1,8 +1,9 @@
 """Circuit representation, noisy execution, and the exact Jacobian.
 
 A ``Circuit`` stores its gate sequence in execution order (first-applied
-first), ``ops``, as a tuple of (name, targets) pairs, and a whole-sequence
-repetition count.  Circuits start from |0...0> and end in a measurement.
+first), ``ops``, as a tuple of (name, targets) pairs, each name a ``str``,
+and a whole-sequence repetition count.  Circuits start from |0...0> and end
+in a measurement.
 
 A ``CircuitFamily`` is a gate table and the probe circuits it runs, kept as
 its own tuple of circuits and copy of the table.  The table maps a gate name
@@ -12,8 +13,8 @@ reads no error, to its read-only matrix.
 The table is checked against the circuits when the family is built: an op
 that names a gate outside the table, or whose target count does not match the
 gate's dimension, a gate that reads more errors than the family has
-parameters, and a fixed matrix that is writable raise ``ValueError`` then, not
-mid-run.
+parameters, a fixed matrix that is writable and a table entry that is neither
+a builder nor a matrix raise ``ValueError`` then, not mid-run.
 
 The family also plans each circuit once, at build, into two flat lists of
 plain (key, where) steps over the whole shot, all ``reps`` included, each
@@ -96,6 +97,8 @@ class Circuit:
             if not (isinstance(value, (int, np.integer)) and type(value) is not bool and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1")
         for name, targets in self.ops:
+            if not isinstance(name, str):
+                raise ValueError(f"gate name {name!r} is not a string")
             if not all(isinstance(t, (int, np.integer)) and type(t) is not bool for t in targets):
                 raise ValueError(f"gate {name} has a target that is not an integer")
             if len(set(targets)) != len(targets):
@@ -137,6 +140,8 @@ class CircuitFamily:
         for gate, u in gates.items():
             if isinstance(u, np.ndarray) and u.flags.writeable:
                 raise ValueError(f"fixed gate {gate!r} must be a read-only matrix")
+            if not (callable(u) or isinstance(u, np.ndarray)):
+                raise ValueError(f"gate {gate!r} is neither a builder nor a read-only matrix")
         try:
             dims = {g: len(self.gate_unitary(g, np.zeros(n_params))) for g in gates}
         except IndexError as exc:
@@ -217,7 +222,7 @@ _GX0 = gates.gx(0.0)
 _GX0.flags.writeable = False
 
 CZ_GATES = {
-    "cz": lambda d: gates.cz(d[0], d[1], d[2]),
+    "cz": lambda d: gates.cz(float(d[0]), float(d[1]), float(d[2])),  # floats: numpy-scalar phases cost more
     "gx0": _GX0,
     "h": gates.HADAMARD,
 }

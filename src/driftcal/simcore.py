@@ -24,14 +24,24 @@ kernel makes no LAPACK call and composes no gates.
 
 A gate on k targets is a square (2**k, 2**k) matrix or, for a diagonal gate,
 its 1-D diagonal of length 2**k.  ``apply_unitary`` is the checked wrapper: it
-checks the state, targets and gate.  A diagonal on the whole register, targets
-in order, multiplies the state elementwise; on other targets it goes through
-``np.diag`` to the square path.  That multiplies a gate on one ascending block
-of qubits t0..t0+k-1 into the state as ``apply_block``, the unchecked core,
-does: through a reshaped (-1, 2**k, rest) view, stack axes and qubits before
-the block in the -1, with no transposed copy; other orders go through a
-transpose.  ``apply_block`` checks nothing: its caller vouches for the gate
-and the (2**k, rest) dims once, as ``circuits`` does when it plans a family.
+checks the state, targets and gate; targets in one ascending block are
+distinct by construction, so only the block's ends are range-checked.  A
+diagonal on the whole register, targets in order, multiplies the state
+elementwise; on other targets it goes through ``np.diag`` to the square path.
+That hands a gate on one ascending block of qubits t0..t0+k-1 to
+``apply_block``, the unchecked core, which multiplies it in through a reshaped
+(-1, 2**k, rest) view, stack axes and qubits before the block in the -1, with
+no transposed copy; other orders go through a transpose.  ``apply_block``
+checks nothing: its caller vouches for the gate and the (2**k, rest) dims
+once, as ``circuits`` does when it plans a family.
+
+A lone 1-D state under a gate on the whole register is one ``u.dot(state)``
+instead.  On these small gates numpy's per-call overhead, not arithmetic, sets
+the cost: a ``matmul`` on the (1, 2**k, 1) view costs about 1 us per call, a
+``dot`` 0.35 us, and both reach BLAS ``zgemv``, so the bits are the same.  A
+1x1 gate (k = 0) on one or more qubits never takes it: its block is shorter
+than the state, and a ``dot`` with it is a scalar multiply, which rounds
+differently from ``matmul``.
 """
 from __future__ import annotations
 
@@ -67,19 +77,23 @@ def apply_unitary(state: np.ndarray, u: np.ndarray, targets: list[int] | tuple[i
     n = num_qubits(state)
     targets = tuple(targets)
     k = len(targets)
-    if len(set(targets)) != k:
+    t0 = targets[0] if k else 0
+    ascending = targets == tuple(range(t0, t0 + k))  # one ascending block: distinct by construction
+    if ascending:
+        if not (0 <= t0 and t0 + k <= n):
+            raise IndexError(f"target out of range for {n} qubits: {targets}")
+    elif len(set(targets)) != k:
         raise ValueError("targets must be distinct")
-    if k and not (0 <= min(targets) and max(targets) < n):
+    elif not (0 <= min(targets) and max(targets) < n):
         raise IndexError(f"target out of range for {n} qubits: {targets}")
     if u.shape != (1 << k, 1 << k):
         if u.shape != (1 << k,):
             raise ValueError(f"unitary dim {u.shape} does not match {k} targets")
-        if targets == tuple(range(n)):  # a diagonal on the whole register, in order
+        if ascending and k == n:  # a diagonal on the whole register, in order
             return u * state
         u = np.diag(u)
-    t0 = targets[0] if k else 0
-    if targets == tuple(range(t0, t0 + k)):  # apply_block's product, inline: one call less per gate
-        return (u @ state.reshape(-1, 1 << k, 1 << (n - t0 - k))).reshape(state.shape)
+    if ascending:
+        return apply_block(state, u, (1 << k, 1 << (n - t0 - k)))
     shape = (-1,) + (2,) * n  # the leading axes folded into one
     order = (0,) + tuple(1 + ax for ax in targets + tuple(ax for ax in range(n) if ax not in targets))
     psi = u @ state.reshape(shape).transpose(order).reshape(-1, 1 << k, 1 << (n - k))
@@ -91,8 +105,12 @@ def apply_unitary(state: np.ndarray, u: np.ndarray, targets: list[int] | tuple[i
 def apply_block(state: np.ndarray, u: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """The unchecked core of ``apply_unitary``: ``u`` on qubits t0..t0+k-1, where
     ``dims`` = (2**k, rest) splits each state's last axis into (block, qubits
-    after), the qubits before folding into the leading axis; returns a new state."""
+    after), the qubits before folding into the leading axis; returns a new state.
+    A lone 1-D state whose block is the whole register takes one ``u.dot(state)``:
+    the view's ``matmul`` reaches the same BLAS ``zgemv`` at three times the cost."""
     block, rest = dims  # unpacked: a starred reshape(-1, *dims) is measurably slower per call
+    if state.ndim == 1 and block == len(state):  # a lone state, gate on the whole register
+        return u.dot(state)
     return (u @ state.reshape(-1, block, rest)).reshape(state.shape)
 
 

@@ -126,6 +126,9 @@ def test_circuit_validation():
     for ops in ((5,), (("gx", 0),), (("gx", (0,), "extra"),)):
         with pytest.raises(ValueError, match=r"\(gate name, targets\) pair"):
             Circuit(ops, 1)
+    for name in (["gx"], None, 5):
+        with pytest.raises(ValueError, match="is not a string"):
+            Circuit(((name, (0,)),), 1)
     assert Circuit((("gx", (0,)),), np.int64(1), reps=np.int64(3)).reps == 3
     assert Circuit((("gx", (np.int64(0),)),), 1).ops == (("gx", (0,)),)
 
@@ -212,6 +215,9 @@ def test_family_rejects_circuits_that_do_not_fit_its_gate_table():
             CircuitFamily("gx", 1, entries, GX_GATES)
     with pytest.raises(ValueError, match="'h' must be a read-only matrix"):
         CircuitFamily("cz", 3, cz_circuits(), {**CZ_GATES, "h": np.array(gates.HADAMARD)})
+    for entry in (5, None, [[1, 0], [0, 1]]):
+        with pytest.raises(ValueError, match="'gx' is neither a builder nor a read-only matrix"):
+            CircuitFamily("gx", 1, [gx_power(1)], {"gx": entry})
     for n_params in (0, -1, 1.5, 3.0, "3", None, True, False):
         with pytest.raises(ValueError, match="n_params must be an integer >= 1"):
             CircuitFamily("cz", n_params, cz_circuits(), CZ_GATES)
@@ -356,7 +362,7 @@ def test_plan_of_an_equal_circuit_and_of_a_foreign_one():
         build_jacobian([gx_power(2)], fam)
     with pytest.raises(ValueError, match="not one of family 'gx'"):
         build_jacobian([fam.circuits[0], gx_power(2)], fam)
-    for foreign in ([("gx", (0,))], "gx", None, Circuit(((["gx"], (0,)),), 1)):
+    for foreign in ([("gx", (0,))], "gx", None):
         with pytest.raises(ValueError, match="not one of family 'gx'"):
             fam.plan(foreign)
     assert np.array_equal(build_jacobian([gx_power(1)], fam).matrix, build_jacobian(fam.circuits, fam).matrix)

@@ -69,6 +69,8 @@ def test_apply_unitary_rejects_bad_inputs():
         apply_unitary(state, np.eye(2), [2])
     with pytest.raises(IndexError):
         apply_unitary(state, np.eye(2), [-1])
+    with pytest.raises(IndexError, match="out of range for 2 qubits"):  # an ascending block past the register
+        apply_unitary(state, np.eye(4), [1, 2])
     with pytest.raises(ValueError):
         apply_unitary(state, np.eye(4), [0, 0])
     for diag, targets in ((np.ones(2), [0, 1]), (np.ones(4), [0]), (np.ones(8), [0, 1]), (np.ones(1), [0])):
@@ -193,6 +195,21 @@ def test_a_stack_of_states_goes_through_row_by_row_bit_for_bit(batch, seed):
                     block[...] = 0.0
                 out[...] = 0.0
                 assert np.array_equal(stack, before)
+
+
+def test_a_lone_state_under_a_whole_register_gate_matches_the_stacked_product_bit_for_bit():
+    """A 1-D state under a square gate on all its qubits, in order, takes one
+    dot; at 1..9 qubits it equals, bit for bit, the same state as a stack of
+    one and the (1, 2**n, 1) matmul every other input goes through."""
+    gen = np.random.default_rng(25)
+    for n in range(1, 10):
+        dim = 2**n
+        state = gen.normal(size=dim) + 1j * gen.normal(size=dim)
+        u = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+        stacked = apply_unitary(state[None], u, range(n))[0]
+        matmul = (u @ state.reshape(-1, dim, 1)).reshape(-1)
+        for out in (apply_block(state, u, (dim, 1)), apply_unitary(state, u, range(n))):
+            assert np.array_equal(out, stacked) and np.array_equal(out, matmul), n
 
 
 @pytest.mark.parametrize("length", [0, 3, 6])
